@@ -77,10 +77,15 @@ class CanFdFrame:
     timestamp_us: int = -1      # start of transmission, set by the bus
 
 
+def fragment_count(body_len: int) -> int:
+    """Frames needed to carry a body; an empty body still sends one."""
+    return max(1, -(-body_len // FRAME_DATA_MAX))
+
+
 def fragment(msg: WireMessage, can_id: int, msg_seq: int,
              origin: Optional[int] = None) -> list[CanFdFrame]:
     """Split a message body into frames of at most 60 data bytes each."""
-    total = max(1, -(-len(msg.body) // FRAME_DATA_MAX))
+    total = fragment_count(len(msg.body))
     if total > 0xFF:
         raise ValueError(f"body of {len(msg.body)} bytes needs too many fragments")
     frames = []
@@ -225,7 +230,6 @@ class _Node:
     node_class: str             # "secu" or "ecu"
     machine: Union[Secu, Ecu]
     busy_until: int = 0
-    buffers: dict = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -243,7 +247,6 @@ class Network:
         self.logical_messages = 0
         self.frames = 0
         self.data_frames = 0
-        self.refresh_completions = 0
         self.rejections: list[dict] = []
         self.trace: Optional[list[tuple]] = [] if keep_trace else None
         self._nodes: dict[int, _Node] = {}
@@ -256,6 +259,7 @@ class Network:
         self._tampers: list[TamperAction] = []
         self._replays: list[ReplayAction] = []
         self._captures: dict[tuple, tuple] = {}   # (origin, seq) -> (frames, delay)
+        self._partial: dict[tuple, dict] = {}     # (sender, seq) -> {index: frame}
 
     # -- topology ---------------------------------------------------------
 
@@ -294,7 +298,6 @@ class Network:
             t += self.charge_us(node.node_class, SEND_CHARGES[msg.kind])
             self._send_message(node.node_id, node.can_id, msg, t)
         node.busy_until = t
-        self._at(t, lambda: None)       # keep the clock honest if nothing else runs
         return t
 
     def schedule_data_frame(self, sender_id: int, at_us: int) -> None:
@@ -382,7 +385,24 @@ class Network:
 
     def _on_tx_done(self, frame: CanFdFrame) -> None:
         self._transmitting = None
-        self._deliver(frame)
+        if frame.kind is None:
+            for node_id in sorted(self._nodes):
+                self._tick_node(self._nodes[node_id])
+            return
+        # Reassemble each set once and hand it to every node but its sender.
+        key = (frame.sender, frame.msg_seq)
+        parts = self._partial.setdefault(key, {})
+        parts[frame.frag_index] = frame
+        if len(parts) == frame.frag_total:
+            del self._partial[key]
+            try:
+                msg = reassemble(list(parts.values()))
+            except ValueError:
+                pass                # mismatched fragment set; drop silently
+            else:
+                for node_id in sorted(self._nodes):
+                    if node_id != frame.origin:
+                        self._dispatch(self._nodes[node_id], msg)
         if frame.frag_index == frame.frag_total - 1:
             capture = self._captures.pop((frame.origin, frame.msg_seq), None)
             if capture is not None:
@@ -390,35 +410,13 @@ class Network:
                 for f in copies:
                     self._enqueue_frame(f, self.now + delay)
 
-    def _deliver(self, frame: CanFdFrame) -> None:
-        for node_id in sorted(self._nodes):
-            node = self._nodes[node_id]
-            if frame.kind is None:
-                self._tick_node(node)
-                continue
-            if frame.origin == node.node_id:
-                continue
-            key = (frame.sender, frame.msg_seq)
-            parts = node.buffers.setdefault(key, {})
-            parts[frame.frag_index] = frame
-            if len(parts) == frame.frag_total:
-                del node.buffers[key]
-                try:
-                    msg = reassemble(list(parts.values()))
-                except ValueError:
-                    continue        # mismatched fragment set; drop silently
-                self._dispatch(node, msg)
-
     def _tick_node(self, node: _Node) -> None:
         machine = node.machine
         if not isinstance(machine, Ecu) or machine.session is None:
             return
         if machine.tick_counter():
-            self.refresh_completions += 1
-            finish = max(self.now, node.busy_until) + \
+            node.busy_until = max(self.now, node.busy_until) + \
                 self.charge_us(node.node_class, REFRESH_CHARGE)
-            node.busy_until = finish
-            self._at(finish, lambda: None)
 
     def _dispatch(self, node: _Node, msg: WireMessage) -> None:
         # State commits in delivery order; busy_until only accounts for the
@@ -430,14 +428,14 @@ class Network:
         finish = max(self.now, node.busy_until) + \
             self.charge_us(node.node_class, RECV_CHARGES[msg.kind])
         node.busy_until = finish
-        self._at(finish, lambda: None)
         if outcome.rejected:
             self.rejections.append({
                 "time_us": finish, "node": node.label,
                 "kind": msg.kind.value, "reason": outcome.reason})
 
     def run_to_quiescence(self) -> int:
-        """Process events until the queue drains; returns the final time.
+        """Process events until the queue drains; returns the final time,
+        the later of the last event and the last compute finish of any node.
 
         Arbitration runs only once every event at the current instant has
         been seen, so frames queued at the same microsecond genuinely
@@ -449,6 +447,7 @@ class Network:
             fn()
             if not self._heap or self._heap[0][0] != self.now:
                 self._try_start()
+        self.now = max([self.now] + [n.busy_until for n in self._nodes.values()])
         return self.now
 
     def write_trace_csv(self, path: str) -> None:

@@ -19,8 +19,9 @@ from random import Random
 from typing import Optional
 
 from . import kem
-from .bus import (FRAME_DATA_MAX, LATENCY_PRESETS, BusConfig, ForgeAction,
-                  Network, ReplayAction, SimReport, TamperAction)
+from .bus import (ADVERSARY_CAN_ID, ECU_CAN_BASE, LATENCY_PRESETS, BusConfig,
+                  ForgeAction, Network, ReplayAction, SimReport, TamperAction,
+                  fragment_count)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
@@ -178,8 +179,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown group {self.group!r}")
         if self.n_ecus < 1:
             raise ConfigError("n_ecus must be >= 1")
-        if self.bitrate_bps < 1:
-            raise ConfigError("bitrate_bps must be positive")
+        if ECU_CAN_BASE + self.n_ecus - 1 >= ADVERSARY_CAN_ID:
+            raise ConfigError(f"n_ecus {self.n_ecus} would give a unit the "
+                              f"adversary CAN id {ADVERSARY_CAN_ID:#05x}")
+        BusConfig(self.bitrate_bps, self.frame_overhead_bits)   # range checks
         if self.ctr_max < 1:
             raise ConfigError("ctr_max must be >= 1")
         if self.post_ticks < 0:
@@ -354,11 +357,8 @@ def _honest_frame_count(group: Group, n: int) -> int:
         MsgKind.GROUP_SECRET: n,
         MsgKind.SEED_BROADCAST: 1,
     }
-    total = 0
-    for kind, count in per_kind.items():
-        body = body_length(group, kind)
-        total += count * max(1, -(-body // FRAME_DATA_MAX))
-    return total
+    return sum(count * fragment_count(body_length(group, kind))
+               for kind, count in per_kind.items())
 
 
 def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None,

@@ -125,6 +125,13 @@ class SessionState:
     mac_key: bytes          # 32-byte key authenticating the seed broadcast
 
 
+def _first_round(seed: bytes, chain_key: bytes, mac_key: bytes) -> SessionState:
+    """Round-0 session state keyed from a broadcast seed."""
+    key = primitives.hkdf_session(seed, 0, chain_key)
+    return SessionState(round_index=0, counter=0, session_key=key,
+                        chain_key=chain_key, mac_key=mac_key)
+
+
 class _ReplayCache:
     """Bounded FIFO set of recently accepted MAC tags."""
 
@@ -278,10 +285,7 @@ class Ecu:
         chain_key, mac_key = primitives.hkdf_split(self.group_secret,
                                                    _SPLIT_SESSION_INFO)
         tag = primitives.hmac_tag(seed, mac_key)
-        self.session = SessionState(
-            round_index=0, counter=0,
-            session_key=primitives.hkdf_session(seed, 0, chain_key),
-            chain_key=chain_key, mac_key=mac_key)
+        self.session = _first_round(seed, chain_key, mac_key)
         # Own tag goes in the cache so a replayed copy of this broadcast is
         # recognized even by its original sender.
         self.replay_cache.add(tag)
@@ -302,10 +306,7 @@ class Ecu:
             _require_mac(seed, mac_key, tag)
         except MacError:
             return _rejected("mac")
-        self.session = SessionState(
-            round_index=0, counter=0,
-            session_key=primitives.hkdf_session(seed, 0, chain_key),
-            chain_key=chain_key, mac_key=mac_key)
+        self.session = _first_round(seed, chain_key, mac_key)
         self.replay_cache.add(tag)
         return _ACCEPTED
 

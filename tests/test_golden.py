@@ -1,0 +1,53 @@
+"""Golden report digests: the SHA-256 of ``report.to_json()`` for small honest
+and adversarial runs. A refactor or speed-up that changes any simulated
+number, rejection or timing changes one of these digests."""
+
+import hashlib
+
+import pytest
+
+from canvault.harness import ScenarioConfig, run_scenario
+
+
+def _adversary(**entry):
+    return {"group": "toy23", "n_ecus": 3, "adversary": [entry]}
+
+
+GOLDEN = {
+    "honest_toy23_n4": (
+        {"group": "toy23", "n_ecus": 4},
+        "547e210b3a737e1b09426d354232ef86c8c295b69dbbbbe4bf49bd4e630498e6"),
+    "honest_schnorr256_n2": (
+        {"group": "schnorr256", "n_ecus": 2},
+        "054fd24b88a2f42cd444185d25d61214474ec8608138e5ca27371d73f396c46e"),
+    "refresh_toy23_n3": (
+        {"group": "toy23", "n_ecus": 3, "post_ticks": 20, "ctr_max": 2},
+        "1f4795cdcbfddb87decad3148bb593484d7cc4a82c4fd56777db8917095ee5c2"),
+    "tamper_pairwise": (
+        _adversary(action="tamper", target="pairwise_cipher", occurrence=1,
+                   bit=9),
+        "9dd9be551f8b3fa9565a83f5b89468f40f65951b2f45e74ae7d3f35f3c58d354"),
+    "tamper_group_secret": (
+        _adversary(action="tamper", target="group_secret", occurrence=1,
+                   bit=100),
+        "16b4f9a31fd967a71de9c2eec19ef0b317162e526232b5e5a32045476c7e7fe6"),
+    "replay_group_secret": (
+        _adversary(action="replay", target="group_secret", occurrence=2),
+        "d9e6d104d95e97f9cbb1ca7f96ae14fb07c90b81bfb3ed2227fd608b764be73c"),
+    "replay_seed_broadcast": (
+        _adversary(action="replay", target="seed_broadcast", delay_us=500),
+        "3fbc181b7aae16bf52b121e7d8ae03eb31192906ae1351a0715920cbc7b42427"),
+    "forge_pairwise": (
+        _adversary(action="forge", target="pairwise_cipher", receiver=0),
+        "3c2f8fd52e91b3f574f8fb495787f963cb6b7934d57885f03e865641763e13a8"),
+    "forge_seed_unicast": (
+        _adversary(action="forge", target="seed_broadcast", receiver=1),
+        "cb625388c558e3d45b069234ca6a7e807b5e33cf9e14504020e4a2a2b97860a7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest_is_pinned(name):
+    raw, digest = GOLDEN[name]
+    report = run_scenario(ScenarioConfig.from_dict(raw))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

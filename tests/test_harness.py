@@ -121,10 +121,16 @@ class TestConfigValidation:
         {"adversary": [{"action": "tamper", "target": "nope", "bit": 0}]},
         {"adversary": [{"action": "replay", "target": "seed_broadcast",
                         "bit": 3}]},
+        {"bitrate_bps": 1000}, {"frame_overhead_bits": -1}, {"n_ecus": 0x700},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(self.base(**bad))
+
+    def test_largest_group_below_adversary_id_parses(self):
+        # ECU 0x6FE gets CAN id 0x7FE, the last one below the adversary's.
+        cfg = ScenarioConfig.from_dict(self.base(n_ecus=0x6FF))
+        assert cfg.n_ecus == 0x6FF
 
     def test_tamper_bit_must_fit_body(self):
         cfg = ScenarioConfig.from_dict(self.base(
@@ -283,6 +289,16 @@ class TestAdversaryScenarios:
         assert any(r["node"] == "ecu0" and r["reason"] == "consistency"
                    for r in report.rejections)
         assert report.converged["pairwise"]     # honest message still lands
+
+    def test_forged_unicast_seed_reaches_every_unit(self):
+        # The seed handler does not check the receiver, so a seed forged to
+        # one unit is judged by all of them; at time 0 none holds a group
+        # secret yet.
+        cfg = ScenarioConfig(group="toy23", n_ecus=3, adversary=[
+            {"action": "forge", "target": "seed_broadcast", "receiver": 1}])
+        report = run_scenario(cfg)
+        assert [(r["node"], r["reason"]) for r in report.rejections] == \
+            [("ecu0", "state"), ("ecu1", "state"), ("ecu2", "state")]
 
     def test_tampering_the_seed_sender_stalls_the_session_phase(self):
         cfg = ScenarioConfig(group="toy23", n_ecus=2, adversary=[
