@@ -28,9 +28,9 @@ from typing import Callable, Optional, Union
 from .errors import ConfigError
 from .protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
 
-FRAG_HEADER_LEN = 4
+_FRAG_HEADER = struct.Struct(">HBB")     # msg_seq, frag_index, frag_total
+FRAG_HEADER_LEN = _FRAG_HEADER.size
 FRAME_DATA_MAX = 60
-FRAME_PAYLOAD_MAX = FRAG_HEADER_LEN + FRAME_DATA_MAX
 
 SECU_CAN_ID = 0x010
 ECU_CAN_BASE = 0x100
@@ -62,7 +62,8 @@ class CanFdFrame:
     count toward the payload, which holds only the fragment header and a body
     chunk. ``origin`` records which node physically transmitted the frame
     (the adversary when it replays or forges), while ``sender`` is the claim
-    the protocol layer sees.
+    the protocol layer sees. The fragment fields are read from the payload's
+    header; data frames (``kind`` None) carry none and have no such fields.
     """
 
     can_id: int
@@ -70,11 +71,12 @@ class CanFdFrame:
     kind: Optional[MsgKind]     # None for plain application data frames
     sender: int
     receiver: Optional[int]
-    msg_seq: int
-    frag_index: int
-    frag_total: int
     origin: int
     timestamp_us: int = -1      # start of transmission, set by the bus
+
+    msg_seq = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[0])
+    frag_index = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[1])
+    frag_total = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[2])
 
 
 def fragment_count(body_len: int) -> int:
@@ -91,11 +93,10 @@ def fragment(msg: WireMessage, can_id: int, msg_seq: int,
     frames = []
     for idx in range(total):
         chunk = msg.body[idx * FRAME_DATA_MAX:(idx + 1) * FRAME_DATA_MAX]
-        header = struct.pack(">HBB", msg_seq & 0xFFFF, idx, total)
+        header = _FRAG_HEADER.pack(msg_seq & 0xFFFF, idx, total)
         frames.append(CanFdFrame(
             can_id=can_id, payload=header + chunk, kind=msg.kind,
             sender=msg.sender, receiver=msg.receiver,
-            msg_seq=msg_seq & 0xFFFF, frag_index=idx, frag_total=total,
             origin=msg.sender if origin is None else origin))
     return frames
 
@@ -178,8 +179,8 @@ class ForgeAction:
     """Inject a fabricated message at a chosen time under the adversary id."""
     kind: MsgKind
     body: bytes
-    receiver: Optional[int]
     sender: int             # claimed sender, typically the central node
+    receiver: Optional[int] = None
     at_us: int = 0
 
 
@@ -305,8 +306,7 @@ class Network:
         node = self._nodes[sender_id]
         frame = CanFdFrame(
             can_id=node.can_id, payload=_DATA_PAYLOAD, kind=None,
-            sender=sender_id, receiver=None, msg_seq=0, frag_index=0,
-            frag_total=1, origin=sender_id)
+            sender=sender_id, receiver=None, origin=sender_id)
         self._enqueue_frame(frame, at_us)
 
     def inject_adversary(self, action: AdversaryAction) -> None:
@@ -322,29 +322,27 @@ class Network:
 
     def _send_message(self, origin: int, can_id: int, msg: WireMessage,
                       at_us: int, count_logical: bool = True) -> None:
-        seq = self._msg_seq = (self._msg_seq + 1) & 0xFFFF
-        frames = fragment(msg, can_id, seq, origin)
+        self._msg_seq += 1
+        frames = fragment(msg, can_id, self._msg_seq, origin)
         occurrence = self._kind_sent[msg.kind]
         self._kind_sent[msg.kind] = occurrence + 1
         for tamper in self._tampers:
             if tamper.kind is msg.kind and tamper.occurrence == occurrence:
-                self._apply_tamper(frames, tamper, len(msg.body))
+                self._apply_tamper(frames, tamper)
         for replay in self._replays:
             if replay.kind is msg.kind and replay.occurrence == occurrence:
                 copies = [dataclasses.replace(f, origin=ADVERSARY_ID)
                           for f in frames]
-                self._captures[(origin, seq)] = (copies, replay.delay_us)
+                self._captures[(origin, frames[0].msg_seq)] = \
+                    (copies, replay.delay_us)
         if count_logical:
             self.logical_messages += 1
         for f in frames:
             self._enqueue_frame(f, at_us)
 
     @staticmethod
-    def _apply_tamper(frames: list[CanFdFrame], tamper: TamperAction,
-                      body_len: int) -> None:
-        if not 0 <= tamper.bit < body_len * 8:
-            raise ConfigError(
-                f"tamper bit {tamper.bit} outside {body_len}-byte body")
+    def _apply_tamper(frames: list[CanFdFrame], tamper: TamperAction) -> None:
+        # The bit lies inside the body: the harness checks it before any send.
         byte_idx, bit_in_byte = divmod(tamper.bit, 8)
         frag, offset = divmod(byte_idx, FRAME_DATA_MAX)
         payload = bytearray(frames[frag].payload)

@@ -49,7 +49,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = _env_seed()
     if seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=seed)
-        cfg.validate()
     code = 0
     try:
         report = run_scenario(cfg, trace_path=args.trace)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
 from .bus import (ADVERSARY_CAN_ID, ECU_CAN_BASE, LATENCY_PRESETS, BusConfig,
@@ -105,31 +105,56 @@ def affine_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 # -- scenario configuration -------------------------------------------------
 
-_CONFIG_TYPES = {
-    "group": str,
-    "n_ecus": int,
-    "latency_profile": str,
-    "bitrate_bps": int,
-    "frame_overhead_bits": int,
-    "ctr_max": int,
-    "post_ticks": int,
-    "rng_seed": int,
-    "phase4_sender": int,
-    "replay_cache_size": int,
-    "keyfile": str,
-    "adversary": list,
-}
-_REQUIRED = ("group", "n_ecus")
+# An adversary entry names its action and its target message kind; its other
+# keys are the fields of the action's dataclass, with that class's defaults.
+_ACTIONS = {"tamper": TamperAction, "replay": ReplayAction, "forge": ForgeAction}
+_BUILT_FIELDS = {"kind", "body", "sender"}      # filled in by the harness
 
-_ADVERSARY_KEYS = {
-    "tamper": {"action", "target", "bit", "occurrence"},
-    "replay": {"action", "target", "occurrence", "delay_us"},
-    "forge": {"action", "target", "receiver", "at_us"},
-}
+
+def _required(f: dataclasses.Field) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _check_keys(what: str, cls, raw: dict, built=frozenset()) -> None:
+    """Refuse keys that are not fields of ``cls``, and missing required ones."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in built]
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields:
+        if _required(f) and f.name not in raw:
+            raise ConfigError(f"missing required {what} key {f.name!r}")
+
+
+def _check_values(what: str, cls, values: dict) -> None:
+    """Refuse a value outside its field's annotation in ``cls``.
+
+    No field takes a bool, so a bool is never an integer here. Every plain
+    ``int`` field is a count, size or time and so >= 0; the unit ids
+    (``phase4_sender``, ``receiver``) are the ``Optional[int]`` fields.
+    """
+    hints = get_type_hints(cls)
+    for name, value in values.items():
+        hint = hints[name]
+        allowed = get_args(hint) if get_origin(hint) is Union else (hint,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__
+                                for t in allowed)
+            raise ConfigError(f"{what} key {name!r} must be {names}")
+        if hint is int and value < 0:
+            raise ConfigError(f"{what} key {name!r} must be >= 0")
+
+
+def _settings(entry: dict) -> dict:
+    """An adversary entry's keys for its action's dataclass."""
+    return {k: v for k, v in entry.items() if k not in ("action", "target")}
 
 
 @dataclass
 class ScenarioConfig:
+    """A scenario. The fields, types and defaults are the config schema, and
+    every construction (JSON, keywords, ``dataclasses.replace``) is checked."""
+
     group: str
     n_ecus: int
     latency_profile: str = "stm32"
@@ -143,25 +168,19 @@ class ScenarioConfig:
     keyfile: Optional[str] = None
     adversary: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario config must be a JSON object")
-        unknown = set(raw) - set(_CONFIG_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in _REQUIRED:
-            if key not in raw:
-                raise ConfigError(f"missing required config key {key!r}")
-        for key, value in raw.items():
-            want = _CONFIG_TYPES[key]
-            if want is int and isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be an integer")
-            if not isinstance(value, want):
-                raise ConfigError(f"config key {key!r} must be {want.__name__}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        _check_keys("config", cls, raw)
+        nulls = sorted(key for key, value in raw.items() if value is None)
+        if nulls:
+            raise ConfigError(f"config keys {nulls} are null; leave an "
+                              "optional key out instead")
+        return cls(**raw)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":
@@ -175,6 +194,7 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
+        _check_values("config", type(self), vars(self))
         if self.group not in GROUP_NAMES:
             raise ConfigError(f"unknown group {self.group!r}")
         if self.n_ecus < 1:
@@ -185,10 +205,6 @@ class ScenarioConfig:
         BusConfig(self.bitrate_bps, self.frame_overhead_bits)   # range checks
         if self.ctr_max < 1:
             raise ConfigError("ctr_max must be >= 1")
-        if self.post_ticks < 0:
-            raise ConfigError("post_ticks must be >= 0")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be >= 0")
         if self.replay_cache_size < 1:
             raise ConfigError("replay_cache_size must be >= 1")
         if self.phase4_sender is not None and not 0 <= self.phase4_sender < self.n_ecus:
@@ -201,26 +217,17 @@ def _validate_adversary_entry(entry) -> None:
     if not isinstance(entry, dict):
         raise ConfigError("adversary entries must be objects")
     action = entry.get("action")
-    if action not in _ADVERSARY_KEYS:
-        raise ConfigError(f"adversary action must be one of {sorted(_ADVERSARY_KEYS)}")
-    unknown = set(entry) - _ADVERSARY_KEYS[action]
-    if unknown:
-        raise ConfigError(f"unknown adversary keys for {action}: {sorted(unknown)}")
+    if not isinstance(action, str) or action not in _ACTIONS:
+        raise ConfigError(f"adversary action must be one of {sorted(_ACTIONS)}")
+    cls, settings = _ACTIONS[action], _settings(entry)
+    _check_keys(f"{action} adversary", cls, settings, _BUILT_FIELDS)
     target = entry.get("target")
     try:
         MsgKind(target)
     except ValueError:
         raise ConfigError(f"adversary target must be a message kind, got {target!r}") \
             from None
-    for key in ("bit", "occurrence", "delay_us", "at_us"):
-        if key in entry and (isinstance(entry[key], bool)
-                             or not isinstance(entry[key], int) or entry[key] < 0):
-            raise ConfigError(f"adversary key {key!r} must be a nonnegative integer")
-    if action == "tamper" and "bit" not in entry:
-        raise ConfigError("tamper action requires a bit index")
-    if "receiver" in entry and entry["receiver"] is not None \
-            and not isinstance(entry["receiver"], int):
-        raise ConfigError("forge receiver must be a unit id or null")
+    _check_values("adversary", cls, settings)
 
 
 def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
@@ -251,22 +258,17 @@ def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
 
 
 def _parse_adversary(cfg: ScenarioConfig, group: Group, rng: Random) -> list:
-    """Turn config entries into bus actions, building forged bodies here."""
+    """Turn config entries into bus actions, building forged bodies here and
+    bounding the tamper bit by the group's body length before any send."""
     actions = []
     for entry in cfg.adversary:
+        cls = _ACTIONS[entry["action"]]
         kind = MsgKind(entry["target"])
-        if entry["action"] == "tamper":
-            bit = entry["bit"]
-            if bit >= body_length(group, kind) * 8:
-                raise ConfigError(
-                    f"tamper bit {bit} outside a {kind.value} body")
-            actions.append(TamperAction(kind=kind, bit=bit,
-                                        occurrence=entry.get("occurrence", 0)))
-        elif entry["action"] == "replay":
-            actions.append(ReplayAction(kind=kind,
-                                        occurrence=entry.get("occurrence", 0),
-                                        delay_us=entry.get("delay_us", 0)))
-        else:
+        settings = _settings(entry)
+        if cls is TamperAction and settings["bit"] >= body_length(group, kind) * 8:
+            raise ConfigError(f"tamper bit {settings['bit']} outside a "
+                              f"{kind.value} body")
+        if cls is ForgeAction:
             if kind is MsgKind.PAIRWISE_CIPHER:
                 # Random valid group elements: they decode fine and then
                 # fail the decapsulation consistency check.
@@ -276,10 +278,8 @@ def _parse_adversary(cfg: ScenarioConfig, group: Group, rng: Random) -> list:
                     for _ in range(2))
             else:
                 body = rng.randbytes(body_length(group, kind))
-            actions.append(ForgeAction(kind=kind, body=body,
-                                       receiver=entry.get("receiver"),
-                                       sender=SECU_ID,
-                                       at_us=entry.get("at_us", 0)))
+            settings.update(body=body, sender=SECU_ID)
+        actions.append(cls(kind=kind, **settings))
     return actions
 
 

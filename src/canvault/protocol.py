@@ -30,7 +30,7 @@ from random import Random
 from typing import Optional
 
 from . import kem, primitives
-from .errors import ConsistencyError, DecodeError, MacError, StateError
+from .errors import ConsistencyError, DecodeError, StateError
 from .group import Group, GroupElement
 
 SECU_ID = -1            # node id of the central security unit
@@ -109,11 +109,6 @@ class Phase(enum.IntEnum):
     DONE = 3
 
 
-def _require_mac(msg: bytes, key: bytes, tag: bytes) -> None:
-    if not primitives.hmac_verify(msg, key, tag):
-        raise MacError("authentication tag mismatch")
-
-
 @dataclass
 class SessionState:
     """Per-unit session keying state for phases 4 and 5."""
@@ -123,6 +118,11 @@ class SessionState:
     session_key: bytes      # 32-byte working key of the current round
     chain_key: bytes        # 16-byte salt feeding each round derivation
     mac_key: bytes          # 32-byte key authenticating the seed broadcast
+
+
+def _session_keys(group_secret: bytes) -> tuple[bytes, bytes]:
+    """The chain key and the seed-MAC key of the session phase."""
+    return primitives.hkdf_split(group_secret, _SPLIT_SESSION_INFO)
 
 
 def _first_round(seed: bytes, chain_key: bytes, mac_key: bytes) -> SessionState:
@@ -210,10 +210,8 @@ class Secu:
         if len(msg.body) != SEED_LEN + MAC_LEN:
             return _rejected("decode")
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
-        _, mac_key = primitives.hkdf_split(self.group_secret, _SPLIT_SESSION_INFO)
-        try:
-            _require_mac(seed, mac_key, tag)
-        except MacError:
+        _, mac_key = _session_keys(self.group_secret)
+        if not primitives.hmac_verify(seed, mac_key, tag):
             return _rejected("mac")
         self.phase = Phase.DONE
         return _ACCEPTED
@@ -269,9 +267,7 @@ class Ecu:
         if tag in self.replay_cache:
             return _rejected("replay")
         enc_key, mac_key = primitives.hkdf_split(self.pairwise, _SPLIT_GROUP_INFO)
-        try:
-            _require_mac(wrapped, mac_key, tag)
-        except MacError:
+        if not primitives.hmac_verify(wrapped, mac_key, tag):
             return _rejected("mac")
         self.group_secret = primitives.sym_decrypt(wrapped, enc_key)
         self.replay_cache.add(tag)
@@ -282,8 +278,7 @@ class Ecu:
         if self.group_secret is None:
             raise StateError("phase 4 requires the group secret")
         seed = rng.randbytes(SEED_LEN)
-        chain_key, mac_key = primitives.hkdf_split(self.group_secret,
-                                                   _SPLIT_SESSION_INFO)
+        chain_key, mac_key = _session_keys(self.group_secret)
         tag = primitives.hmac_tag(seed, mac_key)
         self.session = _first_round(seed, chain_key, mac_key)
         # Own tag goes in the cache so a replayed copy of this broadcast is
@@ -300,11 +295,8 @@ class Ecu:
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
         if tag in self.replay_cache:
             return _rejected("replay")
-        chain_key, mac_key = primitives.hkdf_split(self.group_secret,
-                                                   _SPLIT_SESSION_INFO)
-        try:
-            _require_mac(seed, mac_key, tag)
-        except MacError:
+        chain_key, mac_key = _session_keys(self.group_secret)
+        if not primitives.hmac_verify(seed, mac_key, tag):
             return _rejected("mac")
         self.session = _first_round(seed, chain_key, mac_key)
         self.replay_cache.add(tag)

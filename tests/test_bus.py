@@ -69,8 +69,7 @@ class TestFragmentation:
 class TestFrameTiming:
     def frame(self, payload_len: int) -> CanFdFrame:
         return CanFdFrame(can_id=1, payload=b"\x00" * payload_len, kind=None,
-                          sender=0, receiver=None, msg_seq=0, frag_index=0,
-                          frag_total=1, origin=0)
+                          sender=0, receiver=None, origin=0)
 
     def test_full_frame_at_1mbps(self):
         assert frame_time_us(self.frame(64), BusConfig()) == 640

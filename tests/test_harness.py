@@ -122,10 +122,15 @@ class TestConfigValidation:
         {"adversary": [{"action": "replay", "target": "seed_broadcast",
                         "bit": 3}]},
         {"bitrate_bps": 1000}, {"frame_overhead_bits": -1}, {"n_ecus": 0x700},
+        {"adversary": [{"action": "forge", "target": "pairwise_cipher",
+                        "receiver": True}]},
+        {"adversary": [{"action": ["tamper"]}]},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(self.base(**bad))
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**self.base(**bad))
 
     def test_largest_group_below_adversary_id_parses(self):
         # ECU 0x6FE gets CAN id 0x7FE, the last one below the adversary's.
