@@ -9,11 +9,17 @@ Two instantiations ship with the package:
 
 All exponents are plain ints in ``[0, order)``; elements are wrapped so the
 wire-decoding path can enforce subgroup membership once, at construction.
+
+Powers of the generator come from a fixed-base table of ``g^(d * 16^i)``,
+built on the first such power in a process; :meth:`Group.exp2` gives
+``a^x * b^y`` in one pass over joint 4-bit windows (Straus). Both are from
+*Handbook of Applied Cryptography* §14.6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from .errors import DecodeError
@@ -24,6 +30,9 @@ except ImportError:                     # pragma: no cover - environment depende
     _powmod = pow
 
 __all__ = ["Group", "GroupElement", "get_group", "GROUP_NAMES"]
+
+_WINDOW_BITS = 4
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,8 @@ class Group:
         self.element_len = (modulus.bit_length() + 7) // 8
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
+        # Row i holds g^(d * 16^i) for d in [0, 16); built on first use.
+        self._generator_table: list[list[int]] | None = None
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, {self.modulus.bit_length()}-bit modulus)"
@@ -77,8 +88,61 @@ class Group:
         return GroupElement(value)
 
     def exp(self, base: GroupElement, e: int) -> GroupElement:
-        """base ** e within the group (e >= 0, not necessarily reduced)."""
+        """base ** e within the group (e >= 0, not necessarily reduced).
+
+        A power of the generator reduces ``e`` mod ``order`` and multiplies
+        one table entry per 4-bit digit, about 64 products at 256 bits.
+        """
+        if base.value == self.generator.value:
+            return GroupElement(self._generator_power(e % self.order))
         return GroupElement(int(_powmod(base.value, e, self.modulus)))
+
+    def exp2(self, a: GroupElement, x: int, b: GroupElement, y: int) -> GroupElement:
+        """a ** x * b ** y in one square-and-multiply pass over joint 4-bit
+        windows of x and y (x, y >= 0, not necessarily reduced)."""
+        if x < 0 or y < 0:
+            raise ValueError("exp2 takes exponents >= 0")
+        m = self.modulus
+        a_pows, b_pows = [1, a.value % m], [1, b.value % m]
+        for _ in range(2, 1 << _WINDOW_BITS):
+            a_pows.append(a_pows[-1] * a_pows[1] % m)
+            b_pows.append(b_pows[-1] * b_pows[1] % m)
+        acc = 1
+        top = max(x, y).bit_length() // _WINDOW_BITS * _WINDOW_BITS
+        for shift in range(top, -1, -_WINDOW_BITS):
+            for _ in range(_WINDOW_BITS):
+                acc = acc * acc % m
+            if d := x >> shift & _WINDOW_MASK:
+                acc = acc * a_pows[d] % m
+            if d := y >> shift & _WINDOW_MASK:
+                acc = acc * b_pows[d] % m
+        return GroupElement(acc)
+
+    def _generator_power(self, e: int) -> int:
+        """g ** e for 0 <= e < order, one table entry per 4-bit digit of e."""
+        table = self._generator_table
+        if table is None:
+            table = self._generator_table = self._build_generator_table()
+        m = self.modulus
+        acc = 1
+        for row in table:
+            if d := e & _WINDOW_MASK:
+                acc = acc * row[d] % m
+            e >>= _WINDOW_BITS
+        return acc
+
+    def _build_generator_table(self) -> list[list[int]]:
+        m = self.modulus
+        table = []
+        base = self.generator.value
+        rows = (self.order.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS
+        for _ in range(rows):
+            row = [1, base]
+            for _ in range(2, 1 << _WINDOW_BITS):
+                row.append(row[-1] * base % m)
+            table.append(row)
+            base = row[-1] * base % m
+        return table
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.value * b.value) % self.modulus)
@@ -155,8 +219,10 @@ _FACTORIES = {"toy23": _toy23, "schnorr256": _schnorr256}
 GROUP_NAMES = tuple(_FACTORIES)
 
 
+@cache
 def get_group(name: str) -> Group:
-    """Look up a group instantiation by its registry name."""
+    """The process's one instantiation of the named group, built (and its
+    generator checked) on the first request."""
     try:
         return _FACTORIES[name]()
     except KeyError:

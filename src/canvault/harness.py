@@ -197,6 +197,7 @@ class ScenarioConfig:
         _check_values("config", type(self), vars(self))
         if self.group not in GROUP_NAMES:
             raise ConfigError(f"unknown group {self.group!r}")
+        _check_latency_profile_name(self.latency_profile)
         if self.n_ecus < 1:
             raise ConfigError("n_ecus must be >= 1")
         if ECU_CAN_BASE + self.n_ecus - 1 >= ADVERSARY_CAN_ID:
@@ -230,31 +231,37 @@ def _validate_adversary_entry(entry) -> None:
     _check_values("adversary", cls, settings)
 
 
+def _check_latency_profile_name(name: str) -> None:
+    """Refuse a name that is neither a preset nor ``custom:<path>``; the
+    file behind a custom name is read only by :func:`load_latency_profile`."""
+    if name not in LATENCY_PRESETS and not name.startswith("custom:"):
+        raise ConfigError(
+            f"unknown latency profile {name!r}; presets: {sorted(LATENCY_PRESETS)}")
+
+
 def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
     """Resolve a preset name or ``custom:<path>`` into a latency table."""
+    _check_latency_profile_name(name)
     if name in LATENCY_PRESETS:
         return name, LATENCY_PRESETS[name]
-    if name.startswith("custom:"):
-        path = name.split(":", 1)[1]
-        try:
-            with open(path) as fh:
-                table = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load latency profile {path}: {exc}") from exc
-        for node_class in ("secu", "ecu"):
-            ops = table.get(node_class)
-            if not isinstance(ops, dict):
-                raise ConfigError(f"profile must map {node_class!r} to op latencies")
-            for op, us in ops.items():
-                if isinstance(us, bool) or not isinstance(us, int) or us < 0:
-                    raise ConfigError(f"latency {node_class}.{op} must be >= 0 us")
-            missing = {"eccdh", "hkdf", "aes", "hmac"} - set(ops)
-            if missing:
-                raise ConfigError(
-                    f"profile {node_class!r} lacks latencies for {sorted(missing)}")
-        return name, table
-    raise ConfigError(
-        f"unknown latency profile {name!r}; presets: {sorted(LATENCY_PRESETS)}")
+    path = name.split(":", 1)[1]
+    try:
+        with open(path) as fh:
+            table = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load latency profile {path}: {exc}") from exc
+    for node_class in ("secu", "ecu"):
+        ops = table.get(node_class)
+        if not isinstance(ops, dict):
+            raise ConfigError(f"profile must map {node_class!r} to op latencies")
+        for op, us in ops.items():
+            if isinstance(us, bool) or not isinstance(us, int) or us < 0:
+                raise ConfigError(f"latency {node_class}.{op} must be >= 0 us")
+        missing = {"eccdh", "hkdf", "aes", "hmac"} - set(ops)
+        if missing:
+            raise ConfigError(
+                f"profile {node_class!r} lacks latencies for {sorted(missing)}")
+    return name, table
 
 
 def _parse_adversary(cfg: ScenarioConfig, group: Group, rng: Random) -> list:

@@ -9,9 +9,19 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canvault.errors import DecodeError
-from canvault.group import Group, GroupElement, get_group
+from canvault.group import GROUP_NAMES, Group, GroupElement, get_group
+
+BIG_ORDER = get_group("schnorr256").order
+BIG_MODULUS = get_group("schnorr256").modulus
+
+# Reduced scalars, and unreduced ones as a keyfile may hold them.
+exponents = (st.integers(min_value=0, max_value=2 ** 256)
+             | st.integers(min_value=2 ** 600, max_value=2 ** 600 + 2 ** 64))
+residues = st.integers(min_value=1, max_value=BIG_MODULUS - 1)
 
 
 def naive_pow(base: int, e: int, mod: int) -> int:
@@ -49,6 +59,26 @@ class TestToyGroup:
         for base in toy.elements():
             for e in range(2 * toy.order):
                 assert toy.exp(base, e).value == naive_pow(base.value, e, 23)
+
+    def test_generator_table_matches_pow_exhaustively(self, toy):
+        for g in (toy.generator, GroupElement(2)):
+            for e in range(3 * toy.order):
+                assert toy.exp(g, e).value == pow(2, e, 23)
+
+    def test_exp2_matches_pow_exhaustively(self, toy):
+        # Every residue, member or not: a^x * b^y needs no exponent reduction.
+        for a in range(23):
+            for b in range(23):
+                for x in range(2 * toy.order):
+                    for y in range(2 * toy.order):
+                        assert toy.exp2(GroupElement(a), x, GroupElement(b), y).value \
+                            == pow(a, x, 23) * pow(b, y, 23) % 23
+
+    def test_exp2_refuses_negative_exponents(self, toy):
+        with pytest.raises(ValueError):
+            toy.exp2(toy.generator, -1, toy.generator, 1)
+        with pytest.raises(ValueError):
+            toy.exp2(toy.generator, 1, toy.generator, -1)
 
     def test_exp_worked_examples(self, toy):
         assert toy.exp(GroupElement(2), 4) == GroupElement(16)
@@ -142,6 +172,30 @@ class TestSchnorr256:
             assert big.exp(big.generator, e).value == pow(
                 big.generator.value, e, big.modulus)
 
+    @settings(max_examples=60, deadline=None)
+    @given(e=exponents)
+    @example(e=0)
+    @example(e=BIG_ORDER)
+    @example(e=BIG_ORDER - 1)
+    @example(e=BIG_ORDER + 1)
+    @example(e=2 ** 600 + 1)
+    def test_generator_table_matches_builtin_pow(self, big, e):
+        expected = pow(big.generator.value, e, big.modulus)
+        assert big.exp(big.generator, e).value == expected
+        assert big.exp(GroupElement(int(big.generator.value)), e).value == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=residues, x=exponents, b=residues, y=exponents)
+    @example(a=2, x=0, b=3, y=0)
+    @example(a=2, x=0, b=3, y=BIG_ORDER - 1)
+    @example(a=2, x=BIG_ORDER, b=3, y=0)
+    @example(a=2, x=1, b=3, y=2 ** 600 + 5)
+    @example(a=BIG_MODULUS - 1, x=2 ** 255 + 1, b=2, y=7)
+    def test_exp2_matches_builtin_pow(self, big, a, x, b, y):
+        m = big.modulus
+        assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
+            == pow(a, x, m) * pow(b, y, m) % m
+
     def test_encode_decode_round_trip(self, big):
         rng = Random(13)
         for _ in range(20):
@@ -170,6 +224,21 @@ def test_bad_generator_rejected():
         Group("broken", modulus=23, order=11, generator=1)
     with pytest.raises(ValueError):
         Group("broken", modulus=23, order=11, generator=5)
+
+
+def test_generator_table_built_on_first_generator_power():
+    grp = Group("toy", modulus=23, order=11, generator=2)
+    assert grp._generator_table is None
+    grp.exp(GroupElement(3), 5)
+    assert grp._generator_table is None
+    assert grp.exp(GroupElement(2), 5) == GroupElement(9)
+    assert grp._generator_table is not None
+
+
+def test_get_group_returns_one_instance_per_name():
+    for name in GROUP_NAMES:
+        assert get_group(name) is get_group(name)
+    assert get_group("toy23") is not get_group("schnorr256")
 
 
 def test_unknown_group_name():

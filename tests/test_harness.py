@@ -125,6 +125,7 @@ class TestConfigValidation:
         {"adversary": [{"action": "forge", "target": "pairwise_cipher",
                         "receiver": True}]},
         {"adversary": [{"action": ["tamper"]}]},
+        {"latency_profile": "pentium"},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -159,6 +160,12 @@ class TestConfigValidation:
             group="toy23", n_ecus=1, latency_profile=f"custom:{path}"))
         # encap 10 + tx 176 + decap 20
         assert report.phase_times["pairwise"]["elapsed_us"] == 206
+
+    def test_custom_profile_file_is_read_at_run_time(self, tmp_path):
+        cfg = ScenarioConfig.from_dict(self.base(
+            latency_profile=f"custom:{tmp_path / 'missing.json'}"))
+        with pytest.raises(ConfigError):
+            run_scenario(cfg)
 
     def test_custom_profile_missing_ops_rejected(self, tmp_path):
         path = tmp_path / "prof.json"
