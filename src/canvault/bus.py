@@ -240,16 +240,12 @@ class _Node:
 class Network:
     """Event-driven broadcast bus with registered protocol nodes."""
 
-    def __init__(self, cfg: BusConfig, latency: dict[str, dict[str, int]],
-                 keep_trace: bool = False):
+    def __init__(self, cfg: BusConfig, latency: dict[str, dict[str, int]]):
         self.cfg = cfg
         self.latency = latency
         self.now = 0
-        self.logical_messages = 0
-        self.frames = 0
-        self.data_frames = 0
+        self.sent: list[CanFdFrame] = []    # every frame, in transmission order
         self.rejections: list[dict] = []
-        self.trace: Optional[list[tuple]] = [] if keep_trace else None
         self._nodes: dict[int, _Node] = {}
         self._heap: list = []
         self._serial = 0
@@ -264,8 +260,8 @@ class Network:
 
     # -- topology ---------------------------------------------------------
 
-    def add_secu(self, machine: Secu, can_id: int = SECU_CAN_ID) -> None:
-        self._add_node(_Node(SECU_ID, can_id, "secu", machine))
+    def add_secu(self, machine: Secu) -> None:
+        self._add_node(_Node(SECU_ID, SECU_CAN_ID, "secu", machine))
 
     def add_ecu(self, machine: Ecu, can_id: Optional[int] = None) -> None:
         cid = ECU_CAN_BASE + machine.ecu_id if can_id is None else can_id
@@ -276,8 +272,21 @@ class Network:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
 
-    def node(self, node_id: int) -> _Node:
-        return self._nodes[node_id]
+    @property
+    def frames(self) -> int:
+        """Key-management frames, adversary frames and replay copies included."""
+        return sum(f.kind is not None for f in self.sent)
+
+    @property
+    def data_frames(self) -> int:
+        return sum(f.kind is None for f in self.sent)
+
+    @property
+    def logical_messages(self) -> int:
+        """Messages the protocol nodes sent, each counted by its first frame.
+        Complete once the bus is quiescent, when every queued frame is sent."""
+        return sum(f.kind is not None and f.frag_index == 0 and
+                   f.origin != ADVERSARY_ID for f in self.sent)
 
     # -- scheduling -------------------------------------------------------
 
@@ -317,11 +326,10 @@ class Network:
         else:
             msg = WireMessage(action.kind, action.sender, action.receiver,
                               action.body)
-            self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg,
-                               action.at_us, count_logical=False)
+            self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, action.at_us)
 
     def _send_message(self, origin: int, can_id: int, msg: WireMessage,
-                      at_us: int, count_logical: bool = True) -> None:
+                      at_us: int) -> None:
         self._msg_seq += 1
         frames = fragment(msg, can_id, self._msg_seq, origin)
         occurrence = self._kind_sent[msg.kind]
@@ -335,8 +343,6 @@ class Network:
                           for f in frames]
                 self._captures[(origin, frames[0].msg_seq)] = \
                     (copies, replay.delay_us)
-        if count_logical:
-            self.logical_messages += 1
         for f in frames:
             self._enqueue_frame(f, at_us)
 
@@ -369,15 +375,7 @@ class Network:
         _, _, frame = heapq.heappop(self._pending)
         frame.timestamp_us = self.now
         self._transmitting = frame
-        if frame.kind is None:
-            self.data_frames += 1
-        else:
-            self.frames += 1
-        if self.trace is not None:
-            frag = ("data" if frame.kind is None else
-                    f"{frame.msg_seq}:{frame.frag_index}/{frame.frag_total}")
-            self.trace.append(
-                (frame.timestamp_us, frame.can_id, frag, frame.payload.hex()))
+        self.sent.append(frame)
         self._at(self.now + frame_time_us(frame, self.cfg),
                  lambda: self._on_tx_done(frame))
 
@@ -449,9 +447,10 @@ class Network:
         return self.now
 
     def write_trace_csv(self, path: str) -> None:
-        if self.trace is None:
-            raise ValueError("network was built without trace recording")
+        """One row per frame sent, in transmission order."""
         with open(path, "w") as fh:
             fh.write("timestamp_us,can_id,frag,payload_hex\n")
-            for ts, can_id, frag, payload in self.trace:
-                fh.write(f"{ts},{can_id:#05x},{frag},{payload}\n")
+            for f in self.sent:
+                frag = ("data" if f.kind is None else
+                        f"{f.msg_seq}:{f.frag_index}/{f.frag_total}")
+                fh.write(f"{f.timestamp_us},{f.can_id:#05x},{frag},{f.payload.hex()}\n")

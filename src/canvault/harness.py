@@ -19,9 +19,9 @@ from random import Random
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
-from .bus import (ADVERSARY_CAN_ID, ECU_CAN_BASE, LATENCY_PRESETS, BusConfig,
-                  ForgeAction, Network, ReplayAction, SimReport, TamperAction,
-                  fragment_count)
+from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
+                  BusConfig, ForgeAction, Network, ReplayAction, SimReport,
+                  TamperAction, fragment_count)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
@@ -211,10 +211,10 @@ class ScenarioConfig:
         if self.phase4_sender is not None and not 0 <= self.phase4_sender < self.n_ecus:
             raise ConfigError("phase4_sender must name a unit in [0, n_ecus)")
         for entry in self.adversary:
-            _validate_adversary_entry(entry)
+            _validate_adversary_entry(entry, self.group)
 
 
-def _validate_adversary_entry(entry) -> None:
+def _validate_adversary_entry(entry, group: str) -> None:
     if not isinstance(entry, dict):
         raise ConfigError("adversary entries must be objects")
     action = entry.get("action")
@@ -224,11 +224,14 @@ def _validate_adversary_entry(entry) -> None:
     _check_keys(f"{action} adversary", cls, settings, _BUILT_FIELDS)
     target = entry.get("target")
     try:
-        MsgKind(target)
+        kind = MsgKind(target)
     except ValueError:
         raise ConfigError(f"adversary target must be a message kind, got {target!r}") \
             from None
     _check_values("adversary", cls, settings)
+    if cls is TamperAction and \
+            settings["bit"] >= body_length(get_group(group), kind) * 8:
+        raise ConfigError(f"tamper bit {settings['bit']} outside a {target} body")
 
 
 def _check_latency_profile_name(name: str) -> None:
@@ -265,16 +268,12 @@ def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
 
 
 def _parse_adversary(cfg: ScenarioConfig, group: Group, rng: Random) -> list:
-    """Turn config entries into bus actions, building forged bodies here and
-    bounding the tamper bit by the group's body length before any send."""
+    """Turn config entries into bus actions, building forged bodies here."""
     actions = []
     for entry in cfg.adversary:
         cls = _ACTIONS[entry["action"]]
         kind = MsgKind(entry["target"])
         settings = _settings(entry)
-        if cls is TamperAction and settings["bit"] >= body_length(group, kind) * 8:
-            raise ConfigError(f"tamper bit {settings['bit']} outside a "
-                              f"{kind.value} body")
         if cls is ForgeAction:
             if kind is MsgKind.PAIRWISE_CIPHER:
                 # Random valid group elements: they decode fine and then
@@ -368,16 +367,15 @@ def _honest_frame_count(group: Group, n: int) -> int:
                for kind, count in per_kind.items())
 
 
-def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None,
-                 strict: bool = True) -> SimReport:
+def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimReport:
     """Run the full key establishment under a scenario config.
 
     Raises:
         DeadlockError: a stage could not complete and nothing explains why
             it should not (wiring bug), or the elected seed sender was left
             without a group secret (adversary-induced stall).
-        RunCheckError: with ``strict``, a run-level check failed; the report
-            rides on the exception for persistence.
+        RunCheckError: a run-level check failed; the report rides on the
+            exception for persistence.
     """
     group = get_group(cfg.group)
     profile_name, latency = load_latency_profile(cfg.latency_profile)
@@ -395,8 +393,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None,
                 replay_cache_size=cfg.replay_cache_size) for kp in keypairs]
     by_id = {e.ecu_id: e for e in ecus}
 
-    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency,
-                  keep_trace=trace_path is not None)
+    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency)
     net.add_secu(secu)
     for ecu in ecus:
         net.add_ecu(ecu)
@@ -456,11 +453,13 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None,
     report.partially_keyed = not (pairwise_ok and group_ok and session_ok)
 
     report.expected_messages = expected_messages(Scheme.OURS, cfg.n_ecus)
-    honest = not cfg.adversary
+    # A tamper flips bits and adds no frames; forgeries and replay copies
+    # are sent under the adversary's origin.
+    honest_frames = sum(f.kind is not None and f.origin != ADVERSARY_ID
+                        for f in net.sent)
     checks = {
         "message_count": net.logical_messages == report.expected_messages,
-        "frame_accounting": net.frames >= net.logical_messages and (
-            not honest or net.frames == _honest_frame_count(group, cfg.n_ecus)),
+        "frame_accounting": honest_frames == _honest_frame_count(group, cfg.n_ecus),
         "convergence": not report.partially_keyed or (
             bool(cfg.adversary) and len(net.rejections) > 0),
     }
@@ -474,7 +473,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None,
 
     if trace_path is not None:
         net.write_trace_csv(trace_path)
-    if strict and not all(checks.values()):
+    if not all(checks.values()):
         failed = sorted(name for name, ok in checks.items() if not ok)
         raise RunCheckError(f"run checks failed: {failed}", report=report)
     return report

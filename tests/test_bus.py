@@ -96,7 +96,7 @@ class TestFrameTiming:
 class TestArbitration:
     def build_two_node_net(self, toy, id_a, id_b):
         rng = Random(0)
-        net = Network(BusConfig(), LATENCY_PRESETS["stm32"], keep_trace=True)
+        net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
         kp_a, kp_b = kem.keygen(toy, 0, rng), kem.keygen(toy, 1, rng)
         net.add_ecu(Ecu(toy, kp_a), can_id=id_a)
         net.add_ecu(Ecu(toy, kp_b), can_id=id_b)
@@ -107,14 +107,14 @@ class TestArbitration:
         net.schedule_data_frame(0, at_us=0)     # can_id 9
         net.schedule_data_frame(1, at_us=0)     # can_id 5
         net.run_to_quiescence()
-        assert [(ts, cid) for ts, cid, _, _ in net.trace] == [(0, 5), (192, 9)]
+        assert [(f.timestamp_us, f.can_id) for f in net.sent] == [(0, 5), (192, 9)]
 
     def test_fifo_within_equal_priority(self, toy):
         net = self.build_two_node_net(toy, id_a=5, id_b=9)
         net.schedule_data_frame(0, at_us=0)
         net.schedule_data_frame(0, at_us=0)
         net.run_to_quiescence()
-        assert [ts for ts, *_ in net.trace] == [0, 192]
+        assert [f.timestamp_us for f in net.sent] == [0, 192]
 
 
 class TestDeliveryAndDeterminism:

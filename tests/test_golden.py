@@ -1,6 +1,7 @@
-"""Golden report digests: the SHA-256 of ``report.to_json()`` for small honest
-and adversarial runs. A refactor or speed-up that changes any simulated
-number, rejection or timing changes one of these digests."""
+"""Golden digests: the SHA-256 of ``report.to_json()`` and of the trace CSV
+for small honest and adversarial runs. A refactor or speed-up that changes
+any simulated number, rejection, timing or frame changes one of these
+digests."""
 
 import hashlib
 
@@ -51,3 +52,30 @@ def test_report_digest_is_pinned(name):
     raw, digest = GOLDEN[name]
     report = run_scenario(ScenarioConfig.from_dict(raw))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# SHA-256 of the ``trace_path`` CSV: one row per frame sent, adversary
+# frames, replay copies and data frames included.
+GOLDEN_TRACES = {
+    "refresh_toy23_n3": (
+        GOLDEN["refresh_toy23_n3"][0],
+        "483d29c5029c397b10f97e1b3279aec8d8cdde143dbef287f07e529adbc406a1"),
+    "hostile_toy23_n3": (
+        {"group": "toy23", "n_ecus": 3, "phase4_sender": 2, "post_ticks": 5,
+         "adversary": [
+             {"action": "tamper", "target": "pairwise_cipher",
+              "occurrence": 1, "bit": 9},
+             {"action": "replay", "target": "group_secret", "occurrence": 2},
+             {"action": "replay", "target": "seed_broadcast", "delay_us": 500},
+             {"action": "forge", "target": "pairwise_cipher", "receiver": 0},
+             {"action": "forge", "target": "seed_broadcast", "receiver": 1}]},
+        "9f3416b03707ef4ab31f439719b2c854dc44d866cc01bb48143534a5fba2e4be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_trace_csv_digest_is_pinned(name, tmp_path):
+    raw, digest = GOLDEN_TRACES[name]
+    path = tmp_path / "trace.csv"
+    run_scenario(ScenarioConfig.from_dict(raw), trace_path=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

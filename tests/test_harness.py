@@ -139,11 +139,16 @@ class TestConfigValidation:
         assert cfg.n_ecus == 0x6FF
 
     def test_tamper_bit_must_fit_body(self):
-        cfg = ScenarioConfig.from_dict(self.base(
-            adversary=[{"action": "tamper", "target": "seed_broadcast",
-                        "bit": 48 * 8}]))
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        # A toy23 seed body is 48 bytes; the bound is checked on construction.
+        for bit in (48 * 8, 10_000):
+            raw = self.base(adversary=[{"action": "tamper",
+                                        "target": "seed_broadcast", "bit": bit}])
+            with pytest.raises(ConfigError):
+                ScenarioConfig.from_dict(raw)
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**raw)
+        ScenarioConfig(**self.base(adversary=[
+            {"action": "tamper", "target": "seed_broadcast", "bit": 48 * 8 - 1}]))
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError):
@@ -329,9 +334,17 @@ class TestRunChecks:
         assert err.value.report is not None
         assert not err.value.report.checks["message_count"]
 
-    def test_non_strict_returns_failing_report(self, monkeypatch):
-        monkeypatch.setattr(harness, "expected_messages",
-                            lambda scheme, n: 999)
-        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=2),
-                              strict=False)
-        assert not report.checks["message_count"]
+    def test_frame_accounting_is_exact_under_attack(self, monkeypatch):
+        # Forged frames are not the protocol's: the honest count must still
+        # match the closed form exactly, not merely be reached.
+        cfg = ScenarioConfig(group="toy23", n_ecus=2, adversary=[
+            {"action": "forge", "target": "group_secret", "receiver": 0}])
+        real = harness._honest_frame_count
+        monkeypatch.setattr(harness, "_honest_frame_count",
+                            lambda group, n: real(group, n) - 1)
+        with pytest.raises(RunCheckError) as err:
+            run_scenario(cfg)
+        report = err.value.report
+        assert report.checks == {"message_count": True,
+                                 "frame_accounting": False, "convergence": True}
+        assert report.frames == real(get_group("toy23"), 2) + 2
