@@ -352,6 +352,10 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
             raise ConfigError(
                 f"keyfile entry {kp.ecu_id} has inconsistent public values")
         keypairs.append(kp)
+    # Unit ids become node and CAN ids: they must be exactly 0..n-1.
+    ids = [kp.ecu_id for kp in keypairs]
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(n)):
+        raise ConfigError(f"keyfile unit ids {ids} must be the ints 0..{n - 1}")
     return keypairs
 
 

@@ -115,10 +115,42 @@ def decapsulate(
     c = ct.ephemeral
     t = scalar_hash(c)
     # Exponents act modulo the group order, so reduce the combined exponent.
-    expected = group.exp(c, (keypair.key_exp * t + keypair.bind_exp) % group.order)
+    # Both powers of c come from one chain of c: after a membership check of
+    # c, the chain that check built.
+    expected, shared = group.powers(
+        c, [(keypair.key_exp * t + keypair.bind_exp) % group.order, keypair.key_exp])
     if expected != ct.binding:
         raise ConsistencyError("ciphertext binding check failed")
-    return primitives.hash_to_key(group, group.exp(c, keypair.key_exp))
+    return primitives.hash_to_key(group, shared)
+
+
+def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:
+    """Decapsulate a received ciphertext body, with the reason codes of
+    :func:`decode_ciphertext` followed by :func:`decapsulate`.
+
+    ``c`` is tested for membership (the small-subgroup defence) and the
+    binding only for range before the consistency check. A member ``c`` has a
+    member ``c^(xt+y)``, so a non-member binding can never pass it; the
+    binding's membership is read only on a refusal, from
+    :func:`decode_ciphertext`.
+
+    Raises:
+        DecodeError: wrong length, or either element is not a subgroup member.
+        ConsistencyError: both elements are members and the binding does not
+            match.
+    """
+    n = group.element_len
+    c = int.from_bytes(body[:n], "big")
+    binding = int.from_bytes(body[n:], "big")
+    if len(body) != 2 * n or not group.is_member(c) or \
+            not 0 < binding < group.modulus:
+        decode_ciphertext(group, body)      # raises, with the reason
+    try:
+        return decapsulate(group, keypair, KemCiphertext(
+            ephemeral=GroupElement(c), binding=GroupElement(binding)))
+    except ConsistencyError:
+        decode_ciphertext(group, body)      # a non-member binding is a decode failure
+        raise
 
 
 def encode_ciphertext(group: Group, ct: KemCiphertext) -> bytes:

@@ -246,11 +246,9 @@ class Ecu:
         if msg.receiver != self.ecu_id:
             return _IGNORED
         try:
-            ct = kem.decode_ciphertext(self.group, msg.body)
+            key = kem.open_ciphertext(self.group, self.keypair, msg.body)
         except DecodeError:
             return _rejected("decode")
-        try:
-            key = kem.decapsulate(self.group, self.keypair, ct)
         except ConsistencyError:
             return _rejected("consistency")
         self.pairwise = key

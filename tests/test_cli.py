@@ -167,6 +167,18 @@ class TestKeygenCommand:
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
+    def test_keyfile_with_duplicate_unit_id_exits_2(self, tmp_path):
+        res = run_cli("keygen", "toy23", "2", "-o", "params.json", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "params.json").read_text())
+        data["keypairs"][1]["ecu_id"] = 0
+        (tmp_path / "params.json").write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "cfg.json", keyfile="params.json")
+        res = run_cli("run", str(cfg), "-o", "report.json", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "unit ids" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 def test_compare_exit_message_goes_to_stderr(tmp_path):
     res = run_cli("compare", "0", cwd=tmp_path)

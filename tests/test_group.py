@@ -74,6 +74,23 @@ class TestToyGroup:
                         assert toy.exp2(GroupElement(a), x, GroupElement(b), y).value \
                             == pow(a, x, 23) * pow(b, y, 23) % 23
 
+    def test_powers_match_pow_exhaustively(self, toy):
+        # Bases A, B, A in turn, each first on exponents that grow its chain
+        # a row at a time: a chain kept for the wrong base would show.
+        for a in range(23):
+            for b in range(23):
+                for base in (a, b, a):
+                    for e in range(40):
+                        assert toy.powers(GroupElement(base), [e])[0].value \
+                            == pow(base, e, 23)
+                    exps = [2 ** 20 + 3, 0, 7, 2 ** 20 + 3]
+                    assert [p.value for p in toy.powers(GroupElement(base), exps)] \
+                        == [pow(base, e, 23) for e in exps]
+
+    def test_powers_refuses_negative_exponents(self, toy):
+        with pytest.raises(ValueError):
+            toy.powers(GroupElement(3), [1, -1])
+
     def test_exp2_refuses_negative_exponents(self, toy):
         with pytest.raises(ValueError):
             toy.exp2(toy.generator, -1, toy.generator, 1)
@@ -196,6 +213,25 @@ class TestSchnorr256:
         assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
             == pow(a, x, m) * pow(b, y, m) % m
 
+    @settings(max_examples=25, deadline=None)
+    @given(a=residues, short=st.integers(min_value=0, max_value=2 ** 64),
+           es=st.lists(st.integers(min_value=0, max_value=2 ** 600),
+                       min_size=1, max_size=3))
+    @example(a=2, short=0, es=[2 ** 600, 0, BIG_ORDER])
+    def test_powers_extend_a_shorter_chain(self, big, a, short, es):
+        m = big.modulus
+        assert big.powers(GroupElement(a), [short])[0].value == pow(a, short, m)
+        assert [p.value for p in big.powers(GroupElement(a), es)] \
+            == [pow(a, e, m) for e in es]
+
+    @pytest.mark.parametrize("e", [0, 1, 2 ** 255, 2 ** 255 + 1, 2 ** 600])
+    def test_exp2_at_edge_exponents(self, big, e):
+        m = big.modulus
+        for a, b in ((2, m - 2), (0, 3), (3, 0)):
+            for x, y in ((e, 0), (0, e), (e, e), (e, 1), (1, e)):
+                assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
+                    == pow(a, x, m) * pow(b, y, m) % m
+
     def test_encode_decode_round_trip(self, big):
         rng = Random(13)
         for _ in range(20):
@@ -233,6 +269,22 @@ def test_generator_table_built_on_first_generator_power():
     assert grp._generator_table is None
     assert grp.exp(GroupElement(2), 5) == GroupElement(9)
     assert grp._generator_table is not None
+
+
+def test_membership_check_keeps_its_chain_for_powers():
+    grp = Group("big", modulus=BIG_MODULUS, order=BIG_ORDER,
+                generator=get_group("schnorr256").generator.value)
+    value = grp.exp(grp.generator, 12345).value
+    assert grp.is_member(value)
+    kept, chain = grp._chain
+    assert kept == value and len(chain) == 64
+    assert grp.powers(GroupElement(value), [5, BIG_ORDER - 1])[1].value \
+        == pow(value, BIG_ORDER - 1, BIG_MODULUS)
+    assert grp._chain[1] is chain and len(chain) == 64     # no squaring again
+    grp.powers(GroupElement(value), [2 ** 600])
+    assert grp._chain[1] is chain and len(chain) == 151     # extended
+    assert not grp.is_member(BIG_MODULUS - 1)
+    assert grp._chain[0] == BIG_MODULUS - 1
 
 
 def test_get_group_returns_one_instance_per_name():

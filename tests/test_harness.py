@@ -264,6 +264,33 @@ class TestKeyfiles:
             run_scenario(ScenarioConfig(group="toy23", n_ecus=1,
                                         keyfile=str(path)))
 
+    @staticmethod
+    def keyfile_with_ids(tmp_path, ids):
+        group = get_group("toy23")
+        rng = Random("canvault:9:keygen")
+        path = tmp_path / "params.json"
+        write_keyfile(str(path), group, [kem.keygen(group, i, rng) for i in range(3)])
+        data = json.loads(path.read_text())
+        for entry, ecu_id in zip(data["keypairs"], ids):
+            entry["ecu_id"] = ecu_id
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    # A duplicate, the central unit's id -1, an id past the 11-bit CAN-id
+    # space, and a bool that Python would count as 1.
+    @pytest.mark.parametrize("ids", [[0, 0, 2], [-1, 1, 2], [0, 1, 5000],
+                                     [0, True, 2]])
+    def test_keyfile_unit_ids_must_be_zero_to_n(self, tmp_path, ids):
+        path = self.keyfile_with_ids(tmp_path, ids)
+        with pytest.raises(ConfigError, match="unit ids"):
+            run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path))
+
+    def test_keyfile_unit_ids_in_any_order_run(self, tmp_path):
+        path = self.keyfile_with_ids(tmp_path, [2, 1, 0])
+        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path))
+        assert all(report.checks.values())
+        assert all(report.converged.values())
+
 
 class TestAdversaryScenarios:
     def test_tamper_group_secret_hits_only_target(self):

@@ -3,9 +3,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvault import kem
-from canvault.errors import StateError
+from canvault.errors import ConsistencyError, DecodeError, StateError
 from canvault.group import get_group
 from canvault.protocol import (BROADCAST, SECU_ID, Disposition, Ecu, MsgKind,
                                Phase, Secu, WireMessage, body_length)
@@ -109,6 +111,82 @@ class TestEcuPairwiseHandling:
         out = ecus[0].handle(mauled)
         assert out.rejected and out.reason == "decode"
         assert ecus[0].pairwise is None
+
+
+def received(group, keypair, body):
+    """(disposition, reason, stored key) of a fresh unit handed ``body``."""
+    ecu = Ecu(group, keypair)
+    out = ecu.handle(WireMessage(MsgKind.PAIRWISE_CIPHER, SECU_ID,
+                                 keypair.ecu_id, body))
+    return out.disposition.value, out.reason, ecu.pairwise
+
+
+def decoded_then_decapsulated(group, keypair, body):
+    """The same triple from decoding both elements first, then decapsulating."""
+    try:
+        ct = kem.decode_ciphertext(group, body)
+    except DecodeError:
+        return "rejected", "decode", None
+    try:
+        key = kem.decapsulate(group, keypair, ct)
+    except ConsistencyError:
+        return "rejected", "consistency", None
+    return "accepted", None, key
+
+
+BIG = get_group("schnorr256")
+P = BIG.modulus
+
+# Edits of an honest (c, binding) and the reason each must give; gk is g^k
+# for some 0 < k < order.
+CIPHER_EDITS = {
+    "honest": (lambda c, b, gk: (c, b), None),
+    "binding_times_gk": (lambda c, b, gk: (c, b * gk % P), "consistency"),
+    "binding_non_member": (lambda c, b, gk: (c, P - 1), "decode"),
+    "binding_zero": (lambda c, b, gk: (c, 0), "decode"),
+    "binding_p": (lambda c, b, gk: (c, P), "decode"),
+    "binding_above_p": (lambda c, b, gk: (c, 2 ** 2048 - 1), "decode"),
+    "c_non_member": (lambda c, b, gk: (P - 1, b), "decode"),
+    "c_zero": (lambda c, b, gk: (0, b), "decode"),
+}
+
+
+class TestReceivePathEquivalence:
+    """The unit checks c's membership, then only the binding's range before
+    the binding check, and the binding's membership only on a mismatch. Its
+    disposition, reason and key must equal decoding both elements first."""
+
+    def test_every_small_body_on_toy23(self, toy):
+        rng = Random(3)
+        bodies = [bytes([c, b]) for c in range(32) for b in range(32)]
+        bodies += [b"", b"\x02", b"\x02\x03\x04"]
+        seen = set()
+        for kp in [kem.keygen(toy, i, rng) for i in range(3)]:
+            for body in bodies:
+                got = received(toy, kp, body)
+                assert got == decoded_then_decapsulated(toy, kp, body), body
+                seen.add(got[:2])
+        assert seen == {("accepted", None), ("rejected", "decode"),
+                        ("rejected", "consistency")}
+
+    @pytest.mark.parametrize("edit", sorted(CIPHER_EDITS))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32),
+           k=st.integers(min_value=1, max_value=BIG.order - 1))
+    def test_edited_ciphertexts_on_schnorr256(self, seed, edit, k):
+        rng = Random(seed)
+        kp = kem.keygen(BIG, 0, rng)
+        key, ct = kem.encapsulate(BIG, kp.public, rng)
+        change, reason = CIPHER_EDITS[edit]
+        c, b = change(ct.ephemeral.value, ct.binding.value,
+                      BIG.exp(BIG.generator, k).value)
+        body = c.to_bytes(BIG.element_len, "big") + b.to_bytes(BIG.element_len, "big")
+        got = received(BIG, kp, body)
+        assert got == decoded_then_decapsulated(BIG, kp, body)
+        if reason is None:
+            assert got == ("accepted", None, key)
+        else:
+            assert got == ("rejected", reason, None)
 
 
 class TestPhase3:
