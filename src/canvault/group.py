@@ -10,13 +10,9 @@ Two instantiations ship with the package:
 All exponents are plain ints in ``[0, order)``; elements are wrapped so the
 wire-decoding path can enforce subgroup membership once, at construction.
 
-Powers of the generator come from a fixed-base table of ``g^(d * 16^i)``,
-built on the first such power in a process. :meth:`Group.powers` reads
-several powers of one base from a single chain of ``base^(16^i)`` (Yao), and
-the chain of the last base is kept, so a membership check followed by more
-powers of the same value squares once. :meth:`Group.exp2` gives
-``a^x * b^y`` in one pass over interleaved sliding 5-bit windows. All three
-are from *Handbook of Applied Cryptography* §14.6.
+Every group power is one call of :func:`_powmod`: ``BN_mod_exp`` of the
+libcrypto that CPython's ``ssl`` module links (a Montgomery exponentiation in
+C), or builtin ``pow`` when that library cannot be loaded.
 """
 
 from __future__ import annotations
@@ -27,16 +23,71 @@ from random import Random
 
 from .errors import DecodeError
 
-try:                                    # ~4x faster exponentiation when present
-    from gmpy2 import powmod as _powmod
-except ImportError:                     # pragma: no cover - environment dependent
-    _powmod = pow
-
 __all__ = ["Group", "GroupElement", "get_group", "GROUP_NAMES"]
 
-_WINDOW_BITS = 4
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-_SLIDING_BITS = 5
+
+def _powmod(base: int, e: int, m: int) -> int:
+    """base ** e mod m for e >= 0 and m > 0.
+
+    The first call resolves the backend for the process and rebinds this name
+    to it, so ``ctypes`` and libcrypto load on the first group power, never at
+    import or in :func:`get_group`.
+    """
+    global _powmod
+    _powmod = _libcrypto_powmod() or pow
+    return _powmod(base, e, m)
+
+
+def _libcrypto_powmod():
+    """libcrypto's ``BN_mod_exp`` as a function of ints, or None when the
+    libcrypto that CPython's ``_ssl`` links cannot be loaded.
+
+    ``_ssl`` has already mapped that library, so opening it by its soname
+    returns the same copy. Each call allocates its own BIGNUMs and
+    ``BN_CTX`` and frees them: ctypes releases the GIL during a foreign call,
+    so no C state is shared between threads.
+    """
+    try:
+        import _ssl
+        import ctypes
+        major, minor = _ssl.OPENSSL_VERSION_INFO[:2]
+        lib = ctypes.CDLL(f"libcrypto.so.{major}" if major >= 3
+                          else f"libcrypto.so.{major}.{minor}")
+        ptr, c_int = ctypes.c_void_p, ctypes.c_int
+        for name, restype, argtypes in (
+                ("BN_CTX_new", ptr, []),
+                ("BN_CTX_free", None, [ptr]),
+                ("BN_new", ptr, []),
+                ("BN_free", None, [ptr]),
+                ("BN_bin2bn", ptr, [ptr, c_int, ptr]),
+                ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
+                ("BN_mod_exp", c_int, [ptr, ptr, ptr, ptr, ptr])):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+
+    def bn_mod_exp(base: int, e: int, m: int) -> int:
+        n = (m.bit_length() + 7) // 8
+        e_bytes = e.to_bytes((e.bit_length() + 7) // 8, "big")
+        out = ctypes.create_string_buffer(n)
+        ctx = lib.BN_CTX_new()
+        nums = [lib.BN_bin2bn((base % m).to_bytes(n, "big"), n, None),
+                lib.BN_bin2bn(e_bytes, len(e_bytes), None),
+                lib.BN_bin2bn(m.to_bytes(n, "big"), n, None),
+                lib.BN_new()]
+        try:
+            a, p, mod, r = nums
+            if not (ctx and all(nums) and lib.BN_mod_exp(r, a, p, mod, ctx)
+                    and lib.BN_bn2binpad(r, out, n) == n):
+                raise MemoryError("libcrypto BN_mod_exp failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for num in nums:
+                lib.BN_free(num)
+            lib.BN_CTX_free(ctx)
+
+    return bn_mod_exp
 
 
 @dataclass(frozen=True)
@@ -70,10 +121,6 @@ class Group:
         self.element_len = (modulus.bit_length() + 7) // 8
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
-        # Row i holds g^(d * 16^i) for d in [0, 16); built on first use.
-        self._generator_table: list[list[int]] | None = None
-        # (base value, [base^(16^i)]) of the last base given to powers().
-        self._chain: tuple[int | None, list[int]] = (None, [])
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, {self.modulus.bit_length()}-bit modulus)"
@@ -83,13 +130,9 @@ class Group:
         return GroupElement(1)
 
     def is_member(self, value: int) -> bool:
-        """True iff ``value`` is a representative of the order-p subgroup.
-
-        ``value^order`` is read from the chain of ``value``, which stays kept
-        for further :meth:`powers` of the same value.
-        """
+        """True iff ``value`` is a representative of the order-p subgroup."""
         return 0 < value < self.modulus and \
-            self.powers(GroupElement(value), [self.order])[0].value == 1
+            _powmod(value, self.order, self.modulus) == 1
 
     def element(self, value: int) -> GroupElement:
         """Checked constructor; rejects values outside the subgroup."""
@@ -98,109 +141,20 @@ class Group:
         return GroupElement(value)
 
     def exp(self, base: GroupElement, e: int) -> GroupElement:
-        """base ** e within the group (e >= 0, not necessarily reduced).
+        """base ** e within the group.
 
-        A power of the generator reduces ``e`` mod ``order`` and multiplies
-        one table entry per 4-bit digit, about 64 products at 256 bits. Any
-        other base goes to builtin ``pow``, which beats a fresh chain of
-        :meth:`powers` for a single exponent.
+        A power of the generator (compared by value) reduces ``e`` mod
+        ``order``, so any int works there. Any other base takes ``e >= 0``,
+        not necessarily reduced.
+
+        Raises:
+            ValueError: ``e < 0`` and ``base`` is not the generator.
         """
         if base.value == self.generator.value:
-            return GroupElement(self._generator_power(e % self.order))
-        return GroupElement(int(_powmod(base.value, e, self.modulus)))
-
-    def powers(self, base: GroupElement, exps: list[int]) -> list[GroupElement]:
-        """[base ** e for e in exps] from one chain of ``base^(16^i)`` (e >= 0,
-        not necessarily reduced).
-
-        Each power gathers the chain rows by their 4-bit digit and combines
-        the 15 products with 30 more (Yao): about 90 products per 256-bit
-        exponent after 252 squarings shared by all of them. The chain is kept
-        for the next call on the same base, and extended when a longer
-        exponent needs more rows.
-        """
-        if any(e < 0 for e in exps):
-            raise ValueError("powers takes exponents >= 0")
-        chain = self._chain_rows(base.value, max(exps, default=0).bit_length())
-        m = self.modulus
-        out = []
-        for e in exps:
-            buckets = [1] * (1 << _WINDOW_BITS)
-            for row in chain:
-                if not e:
-                    break
-                if d := e & _WINDOW_MASK:
-                    buckets[d] = buckets[d] * row % m
-                e >>= _WINDOW_BITS
-            acc = run = 1
-            for d in range(_WINDOW_MASK, 0, -1):
-                run = run * buckets[d] % m      # product of rows with digit >= d
-                acc = acc * run % m
-            out.append(GroupElement(acc))
-        return out
-
-    def _chain_rows(self, value: int, bits: int) -> list[int]:
-        """``value^(16^i)`` for every 4-bit digit of a ``bits``-bit exponent,
-        from the kept chain when it is the chain of ``value``."""
-        kept, chain = self._chain
-        if kept != value:
-            chain = [value % self.modulus]
-            self._chain = (value, chain)
-        m = self.modulus
-        while len(chain) * _WINDOW_BITS < bits:
-            row = chain[-1]
-            for _ in range(_WINDOW_BITS):
-                row = row * row % m
-            chain.append(row)
-        return chain
-
-    def exp2(self, a: GroupElement, x: int, b: GroupElement, y: int) -> GroupElement:
-        """a ** x * b ** y in one square-and-multiply pass over interleaved
-        sliding 5-bit windows of x and y (x, y >= 0, not necessarily reduced).
-
-        Each window is an odd digit below 32, so each side needs a table of
-        16 odd powers and about one product per six exponent bits.
-        """
-        if x < 0 or y < 0:
-            raise ValueError("exp2 takes exponents >= 0")
-        m = self.modulus
-        bits = max(x, y).bit_length()
-        x_digits, y_digits = _sliding_windows(x, bits), _sliding_windows(y, bits)
-        a_odd, b_odd = _odd_powers(a.value % m, m), _odd_powers(b.value % m, m)
-        acc = 1
-        for i in range(bits - 1, -1, -1):
-            acc = acc * acc % m
-            if d := x_digits[i]:
-                acc = acc * a_odd[d >> 1] % m
-            if d := y_digits[i]:
-                acc = acc * b_odd[d >> 1] % m
-        return GroupElement(acc)
-
-    def _generator_power(self, e: int) -> int:
-        """g ** e for 0 <= e < order, one table entry per 4-bit digit of e."""
-        table = self._generator_table
-        if table is None:
-            table = self._generator_table = self._build_generator_table()
-        m = self.modulus
-        acc = 1
-        for row in table:
-            if d := e & _WINDOW_MASK:
-                acc = acc * row[d] % m
-            e >>= _WINDOW_BITS
-        return acc
-
-    def _build_generator_table(self) -> list[list[int]]:
-        m = self.modulus
-        table = []
-        base = self.generator.value
-        rows = (self.order.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS
-        for _ in range(rows):
-            row = [1, base]
-            for _ in range(2, 1 << _WINDOW_BITS):
-                row.append(row[-1] * base % m)
-            table.append(row)
-            base = row[-1] * base % m
-        return table
+            e %= self.order
+        elif e < 0:
+            raise ValueError("exp takes exponents >= 0 for a base other than g")
+        return GroupElement(_powmod(base.value, e, self.modulus))
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.value * b.value) % self.modulus)
@@ -235,32 +189,6 @@ class Group:
             out.append(cur)
             cur = self.mul(cur, self.generator)
         return out
-
-
-def _sliding_windows(e: int, bits: int) -> list[int]:
-    """Odd digits d[j] < 32 with ``e == sum(d[j] << j)``, found left to right:
-    each window starts at a set bit and ends at the lowest set bit among its
-    next five (``bits >= e.bit_length()``)."""
-    digits = [0] * bits
-    i = e.bit_length() - 1
-    while i >= 0:
-        if e >> i & 1:
-            j = max(i - _SLIDING_BITS + 1, 0)
-            while not e >> j & 1:
-                j += 1
-            digits[j] = e >> j & ((1 << (i - j + 1)) - 1)
-            i = j
-        i -= 1
-    return digits
-
-
-def _odd_powers(base: int, m: int) -> list[int]:
-    """base^(2k+1) mod m for k in [0, 16): the table of odd 5-bit windows."""
-    square = base * base % m
-    out = [base]
-    for _ in range(1, 1 << (_SLIDING_BITS - 1)):
-        out.append(out[-1] * square % m)
-    return out
 
 
 # 2048-bit modulus with a 256-bit prime-order subgroup. The constants were

@@ -92,8 +92,8 @@ def encapsulate(
     c = group.exp(group.generator, r)
     t = scalar_hash(c)
     shared = group.exp(u, r)
-    # (u^t v)^r == (u^r)^t v^r for any u, v: one joint pass instead of two.
-    binding = group.exp2(shared, t, v, r)
+    # (u^t v)^r == (u^r)^t v^r for any u, v, and u^r is needed anyway.
+    binding = group.mul(group.exp(shared, t), group.exp(v, r))
     key = primitives.hash_to_key(group, shared)
     return key, KemCiphertext(ephemeral=c, binding=binding)
 
@@ -115,13 +115,10 @@ def decapsulate(
     c = ct.ephemeral
     t = scalar_hash(c)
     # Exponents act modulo the group order, so reduce the combined exponent.
-    # Both powers of c come from one chain of c: after a membership check of
-    # c, the chain that check built.
-    expected, shared = group.powers(
-        c, [(keypair.key_exp * t + keypair.bind_exp) % group.order, keypair.key_exp])
+    expected = group.exp(c, (keypair.key_exp * t + keypair.bind_exp) % group.order)
     if expected != ct.binding:
         raise ConsistencyError("ciphertext binding check failed")
-    return primitives.hash_to_key(group, shared)
+    return primitives.hash_to_key(group, group.exp(c, keypair.key_exp))
 
 
 def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:

@@ -54,6 +54,10 @@ def test_report_digest_is_pinned(name):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+def test_schnorr256_digest_on_builtin_pow(builtin_pow):
+    test_report_digest_is_pinned("honest_schnorr256_n2")
+
+
 # SHA-256 of the ``trace_path`` CSV: one row per frame sent, adversary
 # frames, replay copies and data frames included.
 GOLDEN_TRACES = {

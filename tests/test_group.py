@@ -5,6 +5,11 @@ repeated-multiplication oracle; the production group gets randomized trials
 plus independent primality verification of its frozen constants.
 """
 
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -12,6 +17,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import canvault.group
 from canvault.errors import DecodeError
 from canvault.group import GROUP_NAMES, Group, GroupElement, get_group
 
@@ -56,46 +62,31 @@ class TestToyGroup:
         assert sorted(e.value for e in members) == [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
     def test_exp_matches_oracle_exhaustively(self, toy):
-        for base in toy.elements():
-            for e in range(2 * toy.order):
-                assert toy.exp(base, e).value == naive_pow(base.value, e, 23)
+        # Every residue, member or not, and unreduced exponents: only a power
+        # of g may reduce its exponent.
+        for base in range(23):
+            for e in range(4 * toy.order):
+                assert toy.exp(GroupElement(base), e).value == naive_pow(base, e, 23)
+            assert toy.exp(GroupElement(base), 2 ** 20 + 3).value \
+                == pow(base, 2 ** 20 + 3, 23)
+
+    def test_is_member_matches_enumeration(self, toy):
+        members = {e.value for e in toy.elements()}
+        for v in range(-2, 50):
+            assert toy.is_member(v) == (v in members)
 
     def test_generator_table_matches_pow_exhaustively(self, toy):
         for g in (toy.generator, GroupElement(2)):
             for e in range(3 * toy.order):
                 assert toy.exp(g, e).value == pow(2, e, 23)
 
-    def test_exp2_matches_pow_exhaustively(self, toy):
-        # Every residue, member or not: a^x * b^y needs no exponent reduction.
-        for a in range(23):
-            for b in range(23):
-                for x in range(2 * toy.order):
-                    for y in range(2 * toy.order):
-                        assert toy.exp2(GroupElement(a), x, GroupElement(b), y).value \
-                            == pow(a, x, 23) * pow(b, y, 23) % 23
-
-    def test_powers_match_pow_exhaustively(self, toy):
-        # Bases A, B, A in turn, each first on exponents that grow its chain
-        # a row at a time: a chain kept for the wrong base would show.
-        for a in range(23):
-            for b in range(23):
-                for base in (a, b, a):
-                    for e in range(40):
-                        assert toy.powers(GroupElement(base), [e])[0].value \
-                            == pow(base, e, 23)
-                    exps = [2 ** 20 + 3, 0, 7, 2 ** 20 + 3]
-                    assert [p.value for p in toy.powers(GroupElement(base), exps)] \
-                        == [pow(base, e, 23) for e in exps]
-
-    def test_powers_refuses_negative_exponents(self, toy):
+    def test_exp_refuses_negative_exponents(self, toy):
         with pytest.raises(ValueError):
-            toy.powers(GroupElement(3), [1, -1])
-
-    def test_exp2_refuses_negative_exponents(self, toy):
+            toy.exp(GroupElement(3), -1)
         with pytest.raises(ValueError):
-            toy.exp2(toy.generator, -1, toy.generator, 1)
-        with pytest.raises(ValueError):
-            toy.exp2(toy.generator, 1, toy.generator, -1)
+            toy.exp(GroupElement(0), -1)
+        # A power of g reduces its exponent mod the order instead.
+        assert toy.exp(toy.generator, -1) == toy.exp(toy.generator, toy.order - 1)
 
     def test_exp_worked_examples(self, toy):
         assert toy.exp(GroupElement(2), 4) == GroupElement(16)
@@ -159,6 +150,11 @@ class TestToyGroup:
         assert 0 not in seen
 
 
+@pytest.mark.usefixtures("builtin_pow")
+class TestToyGroupUnderBuiltinPow(TestToyGroup):
+    """Every toy23 oracle again on the builtin ``pow`` fallback."""
+
+
 class TestSchnorr256:
     def test_constants_are_a_valid_prime_order_subgroup(self, big):
         assert big.order.bit_length() == 256
@@ -201,36 +197,22 @@ class TestSchnorr256:
         assert big.exp(big.generator, e).value == expected
         assert big.exp(GroupElement(int(big.generator.value)), e).value == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(a=residues, x=exponents, b=residues, y=exponents)
-    @example(a=2, x=0, b=3, y=0)
-    @example(a=2, x=0, b=3, y=BIG_ORDER - 1)
-    @example(a=2, x=BIG_ORDER, b=3, y=0)
-    @example(a=2, x=1, b=3, y=2 ** 600 + 5)
-    @example(a=BIG_MODULUS - 1, x=2 ** 255 + 1, b=2, y=7)
-    def test_exp2_matches_builtin_pow(self, big, a, x, b, y):
-        m = big.modulus
-        assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
-            == pow(a, x, m) * pow(b, y, m) % m
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=residues, short=st.integers(min_value=0, max_value=2 ** 64),
-           es=st.lists(st.integers(min_value=0, max_value=2 ** 600),
-                       min_size=1, max_size=3))
-    @example(a=2, short=0, es=[2 ** 600, 0, BIG_ORDER])
-    def test_powers_extend_a_shorter_chain(self, big, a, short, es):
-        m = big.modulus
-        assert big.powers(GroupElement(a), [short])[0].value == pow(a, short, m)
-        assert [p.value for p in big.powers(GroupElement(a), es)] \
-            == [pow(a, e, m) for e in es]
+    @settings(max_examples=65, deadline=None)
+    @given(a=residues, e=exponents)
+    @example(a=2, e=0)
+    @example(a=3, e=BIG_ORDER - 1)
+    @example(a=2, e=BIG_ORDER)
+    @example(a=3, e=2 ** 600 + 5)
+    @example(a=BIG_MODULUS - 1, e=2 ** 255 + 1)
+    @example(a=2, e=2 ** 600)
+    def test_exp_of_any_residue_matches_builtin_pow(self, big, a, e):
+        assert big.exp(GroupElement(a), e).value == pow(a, e, big.modulus)
 
     @pytest.mark.parametrize("e", [0, 1, 2 ** 255, 2 ** 255 + 1, 2 ** 600])
-    def test_exp2_at_edge_exponents(self, big, e):
+    def test_exp_at_edge_exponents(self, big, e):
         m = big.modulus
-        for a, b in ((2, m - 2), (0, 3), (3, 0)):
-            for x, y in ((e, 0), (0, e), (e, e), (e, 1), (1, e)):
-                assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
-                    == pow(a, x, m) * pow(b, y, m) % m
+        for a in (2, m - 2, 0, 3, 1, m - 1):
+            assert big.exp(GroupElement(a), e).value == pow(a, e, m)
 
     def test_encode_decode_round_trip(self, big):
         rng = Random(13)
@@ -262,31 +244,6 @@ def test_bad_generator_rejected():
         Group("broken", modulus=23, order=11, generator=5)
 
 
-def test_generator_table_built_on_first_generator_power():
-    grp = Group("toy", modulus=23, order=11, generator=2)
-    assert grp._generator_table is None
-    grp.exp(GroupElement(3), 5)
-    assert grp._generator_table is None
-    assert grp.exp(GroupElement(2), 5) == GroupElement(9)
-    assert grp._generator_table is not None
-
-
-def test_membership_check_keeps_its_chain_for_powers():
-    grp = Group("big", modulus=BIG_MODULUS, order=BIG_ORDER,
-                generator=get_group("schnorr256").generator.value)
-    value = grp.exp(grp.generator, 12345).value
-    assert grp.is_member(value)
-    kept, chain = grp._chain
-    assert kept == value and len(chain) == 64
-    assert grp.powers(GroupElement(value), [5, BIG_ORDER - 1])[1].value \
-        == pow(value, BIG_ORDER - 1, BIG_MODULUS)
-    assert grp._chain[1] is chain and len(chain) == 64     # no squaring again
-    grp.powers(GroupElement(value), [2 ** 600])
-    assert grp._chain[1] is chain and len(chain) == 151     # extended
-    assert not grp.is_member(BIG_MODULUS - 1)
-    assert grp._chain[0] == BIG_MODULUS - 1
-
-
 def test_get_group_returns_one_instance_per_name():
     for name in GROUP_NAMES:
         assert get_group(name) is get_group(name)
@@ -296,3 +253,39 @@ def test_get_group_returns_one_instance_per_name():
 def test_unknown_group_name():
     with pytest.raises(ValueError):
         get_group("nope")
+
+
+class TestPowmodBackend:
+    """The backend that the first group power resolves (libcrypto's
+    ``BN_mod_exp`` where that library loads) against builtin ``pow``."""
+
+    @pytest.fixture(scope="class")
+    def powmod(self):
+        get_group("toy23").exp(GroupElement(3), 2)
+        return canvault.group._powmod
+
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_edge_cases_match_builtin_pow(self, powmod, name):
+        grp = get_group(name)
+        m, q = grp.modulus, grp.order
+        # 2**2048 - 1 is wider than either modulus and is reduced first.
+        for base, e in product([0, 1, m - 1, m, 2 ** 2048 - 1],
+                               [0, 1, q, q - 1, q + 1, 2 ** 600 + 1]):
+            assert powmod(base, e, m) == pow(base, e, m), (base, e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(GROUP_NAMES),
+           base=st.integers(min_value=0, max_value=2 ** 2048 + 5), e=exponents)
+    def test_draws_match_builtin_pow(self, powmod, name, base, e):
+        m = get_group(name).modulus
+        assert powmod(base, e, m) == pow(base, e, m)
+
+
+def test_backend_loads_on_first_power_not_at_import():
+    # Importing canvault and building a group (setup_s in perfbench) must not
+    # pay for loading ctypes, _ssl and libcrypto.
+    src = Path(canvault.group.__file__).resolve().parents[1]
+    code = ("import sys, canvault; from canvault.group import get_group; "
+            "get_group('schnorr256'); sys.exit('ctypes' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

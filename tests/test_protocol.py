@@ -189,6 +189,11 @@ class TestReceivePathEquivalence:
             assert got == ("rejected", reason, None)
 
 
+@pytest.mark.usefixtures("builtin_pow")
+class TestReceivePathEquivalenceUnderBuiltinPow(TestReceivePathEquivalence):
+    """The same equivalence on the builtin ``pow`` fallback."""
+
+
 class TestPhase3:
     def test_emits_n_messages_all_unwrap_to_same_secret(self, toy):
         secu, ecus, rng = build_nodes(toy, 15)
