@@ -5,15 +5,15 @@ Models the pieces of the bus that matter for protocol accounting:
 * fragmentation of logical messages into frames with at most 64 payload
   bytes (4-byte fragment header + up to 60 data bytes),
 * ID-based arbitration: when several frames wait for the bus, the lowest
-  CAN id transmits first, ties broken by queueing order,
+  CAN id transmits first, ties broken by the order they became ready,
 * transmission time from a configurable bitrate and flat per-frame overhead,
 * per-node compute latency charged per cryptographic operation, so phase
   durations reflect the configured hardware class,
 * an adversary that can tamper frames in flight, replay captured messages,
   and forge new ones.
 
-Everything is driven by one event heap ordered by (time, insertion serial),
-so a (config, seed) pair fully determines the run.
+Everything is driven by one event heap of frames ordered by (time,
+insertion serial), so a (config, seed) pair fully determines the run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ConfigError
 from .protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
@@ -255,7 +255,7 @@ class Network:
         self._kind_sent: dict[MsgKind, int] = {k: 0 for k in MsgKind}
         self._tampers: list[TamperAction] = []
         self._replays: list[ReplayAction] = []
-        self._captures: dict[tuple, tuple] = {}   # (origin, seq) -> (frames, delay)
+        self._captures: dict[tuple, list] = {}    # (origin, seq) -> [(frames, delay)]
         self._partial: dict[tuple, dict] = {}     # (sender, seq) -> {index: frame}
 
     # -- topology ---------------------------------------------------------
@@ -290,33 +290,33 @@ class Network:
 
     # -- scheduling -------------------------------------------------------
 
-    def charge_us(self, node_class: str, ops: tuple[str, ...]) -> int:
-        table = self.latency[node_class]
-        return sum(table[op] for op in ops)
+    def _work(self, node: _Node, ops: tuple[str, ...]) -> int:
+        """Run ops on a node once it is free; returns when it is free again."""
+        table = self.latency[node.node_class]
+        node.busy_until = max(self.now, node.busy_until) + \
+            sum(table[op] for op in ops)
+        return node.busy_until
 
-    def schedule_protocol_send(self, sender_id: int, msgs: list[WireMessage],
-                               start_us: int) -> int:
+    def schedule_protocol_send(self, sender_id: int,
+                               msgs: list[WireMessage]) -> None:
         """Queue messages from one node, charging its compute serially.
 
         Each message's send-side operations run before it is offered to the
         bus, one message after another, mirroring a single-core node working
-        through its loop. Returns the time the node becomes free.
+        through its loop.
         """
         node = self._nodes[sender_id]
-        t = max(start_us, node.busy_until)
         for msg in msgs:
-            t += self.charge_us(node.node_class, SEND_CHARGES[msg.kind])
+            t = self._work(node, SEND_CHARGES[msg.kind])
             self._send_message(node.node_id, node.can_id, msg, t)
-        node.busy_until = t
-        return t
 
-    def schedule_data_frame(self, sender_id: int, at_us: int) -> None:
-        """Queue one plain application frame (counter tick driver)."""
+    def schedule_data_frame(self, sender_id: int) -> None:
+        """Queue one plain application frame now (counter tick driver)."""
         node = self._nodes[sender_id]
         frame = CanFdFrame(
             can_id=node.can_id, payload=_DATA_PAYLOAD, kind=None,
             sender=sender_id, receiver=None, origin=sender_id)
-        self._enqueue_frame(frame, at_us)
+        self._schedule(frame, self.now)
 
     def inject_adversary(self, action: AdversaryAction) -> None:
         if isinstance(action, TamperAction):
@@ -329,7 +329,7 @@ class Network:
             self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, action.at_us)
 
     def _send_message(self, origin: int, can_id: int, msg: WireMessage,
-                      at_us: int) -> None:
+                      t: int) -> None:
         self._msg_seq += 1
         frames = fragment(msg, can_id, self._msg_seq, origin)
         occurrence = self._kind_sent[msg.kind]
@@ -341,10 +341,10 @@ class Network:
             if replay.kind is msg.kind and replay.occurrence == occurrence:
                 copies = [dataclasses.replace(f, origin=ADVERSARY_ID)
                           for f in frames]
-                self._captures[(origin, frames[0].msg_seq)] = \
-                    (copies, replay.delay_us)
+                self._captures.setdefault((origin, frames[0].msg_seq), []) \
+                    .append((copies, replay.delay_us))
         for f in frames:
-            self._enqueue_frame(f, at_us)
+            self._schedule(f, t)
 
     @staticmethod
     def _apply_tamper(frames: list[CanFdFrame], tamper: TamperAction) -> None:
@@ -357,27 +357,21 @@ class Network:
 
     # -- event loop -------------------------------------------------------
 
-    def _at(self, t: int, fn: Callable[[], None]) -> None:
+    def _schedule(self, frame: CanFdFrame, t: int) -> None:
+        """Schedule a frame event: the frame on the wire ends its
+        transmission at ``t``, any other frame becomes ready at ``t``."""
         self._serial += 1
-        heapq.heappush(self._heap, (t, self._serial, fn))
-
-    def _enqueue_frame(self, frame: CanFdFrame, t: int) -> None:
-        self._at(t, lambda: self._on_frame_ready(frame))
-
-    def _on_frame_ready(self, frame: CanFdFrame) -> None:
-        self._serial += 1
-        heapq.heappush(self._pending, (frame.can_id, self._serial, frame))
+        heapq.heappush(self._heap, (t, self._serial, frame))
 
     def _try_start(self) -> None:
-        # Lowest CAN id wins arbitration; ties resolve in queueing order.
+        # Lowest CAN id wins arbitration; ties resolve in readiness order.
         if self._transmitting is not None or not self._pending:
             return
         _, _, frame = heapq.heappop(self._pending)
         frame.timestamp_us = self.now
         self._transmitting = frame
         self.sent.append(frame)
-        self._at(self.now + frame_time_us(frame, self.cfg),
-                 lambda: self._on_tx_done(frame))
+        self._schedule(frame, self.now + frame_time_us(frame, self.cfg))
 
     def _on_tx_done(self, frame: CanFdFrame) -> None:
         self._transmitting = None
@@ -400,19 +394,17 @@ class Network:
                     if node_id != frame.origin:
                         self._dispatch(self._nodes[node_id], msg)
         if frame.frag_index == frame.frag_total - 1:
-            capture = self._captures.pop((frame.origin, frame.msg_seq), None)
-            if capture is not None:
-                copies, delay = capture
+            for copies, delay in self._captures.pop(
+                    (frame.origin, frame.msg_seq), ()):
                 for f in copies:
-                    self._enqueue_frame(f, self.now + delay)
+                    self._schedule(f, self.now + delay)
 
     def _tick_node(self, node: _Node) -> None:
         machine = node.machine
         if not isinstance(machine, Ecu) or machine.session is None:
             return
         if machine.tick_counter():
-            node.busy_until = max(self.now, node.busy_until) + \
-                self.charge_us(node.node_class, REFRESH_CHARGE)
+            self._work(node, REFRESH_CHARGE)
 
     def _dispatch(self, node: _Node, msg: WireMessage) -> None:
         # State commits in delivery order; busy_until only accounts for the
@@ -421,9 +413,7 @@ class Network:
         outcome = node.machine.handle(msg)
         if outcome.disposition is Disposition.IGNORED:
             return
-        finish = max(self.now, node.busy_until) + \
-            self.charge_us(node.node_class, RECV_CHARGES[msg.kind])
-        node.busy_until = finish
+        finish = self._work(node, RECV_CHARGES[msg.kind])
         if outcome.rejected:
             self.rejections.append({
                 "time_us": finish, "node": node.label,
@@ -438,9 +428,12 @@ class Network:
         contend instead of the first enqueued one grabbing the bus.
         """
         while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
-            self.now = t
-            fn()
+            self.now, _, frame = heapq.heappop(self._heap)
+            if frame is self._transmitting:
+                self._on_tx_done(frame)
+            else:                   # ready: a fresh serial keeps FIFO by readiness
+                self._serial += 1
+                heapq.heappush(self._pending, (frame.can_id, self._serial, frame))
             if not self._heap or self._heap[0][0] != self.now:
                 self._try_start()
         self.now = max([self.now] + [n.busy_until for n in self._nodes.values()])

@@ -20,8 +20,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
 from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
-                  BusConfig, ForgeAction, Network, ReplayAction, SimReport,
-                  TamperAction, fragment_count)
+                  RECV_CHARGES, REFRESH_CHARGE, SEND_CHARGES, BusConfig,
+                  ForgeAction, Network, ReplayAction, SimReport, TamperAction,
+                  fragment_count)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
@@ -145,6 +146,20 @@ def _check_values(what: str, cls, values: dict) -> None:
             raise ConfigError(f"{what} key {name!r} must be >= 0")
 
 
+def _read_json_object(what: str, path: str) -> dict:
+    """Parse a file that must hold one JSON object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def _settings(entry: dict) -> dict:
     """An adversary entry's keys for its action's dataclass."""
     return {k: v for k, v in entry.items() if k not in ("action", "target")}
@@ -184,14 +199,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json_object("config", path))
 
     def validate(self) -> None:
         _check_values("config", type(self), vars(self))
@@ -242,17 +250,17 @@ def _check_latency_profile_name(name: str) -> None:
             f"unknown latency profile {name!r}; presets: {sorted(LATENCY_PRESETS)}")
 
 
+# Every op the bus charges; a custom profile must time each of them.
+_CHARGED_OPS = frozenset().union(*SEND_CHARGES.values(), *RECV_CHARGES.values(),
+                                 REFRESH_CHARGE)
+
+
 def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
     """Resolve a preset name or ``custom:<path>`` into a latency table."""
     _check_latency_profile_name(name)
     if name in LATENCY_PRESETS:
         return name, LATENCY_PRESETS[name]
-    path = name.split(":", 1)[1]
-    try:
-        with open(path) as fh:
-            table = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load latency profile {path}: {exc}") from exc
+    table = _read_json_object("latency profile", name.split(":", 1)[1])
     for node_class in ("secu", "ecu"):
         ops = table.get(node_class)
         if not isinstance(ops, dict):
@@ -260,7 +268,7 @@ def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
         for op, us in ops.items():
             if isinstance(us, bool) or not isinstance(us, int) or us < 0:
                 raise ConfigError(f"latency {node_class}.{op} must be >= 0 us")
-        missing = {"eccdh", "hkdf", "aes", "hmac"} - set(ops)
+        missing = _CHARGED_OPS - set(ops)
         if missing:
             raise ConfigError(
                 f"profile {node_class!r} lacks latencies for {sorted(missing)}")
@@ -324,34 +332,33 @@ def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> No
 
 
 def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load keyfile {path}: {exc}") from exc
+    """Read ``n`` keypairs, each checked by re-deriving its public halves:
+    ``x`` and ``y`` must lie in [1, order) with ``g^x == u`` and ``g^y == v``."""
+    data = _read_json_object("keyfile", path)
     if data.get("group") != group.name:
         raise ConfigError(
             f"keyfile group {data.get('group')!r} does not match {group.name!r}")
     entries = data.get("keypairs", [])
+    if not isinstance(entries, list):
+        raise ConfigError("keyfile keypairs must be a list")
     if len(entries) < n:
         raise ConfigError(f"keyfile holds {len(entries)} keypairs, need {n}")
     keypairs = []
     for entry in entries[:n]:
         try:
-            kp = kem.EcuKeyPair(
-                ecu_id=entry["ecu_id"],
-                key_exp=int(entry["x"], 16),
-                bind_exp=int(entry["y"], 16),
-                pub_key=group.element(int(entry["u"], 16)),
-                pub_bind=group.element(int(entry["v"], 16)),
-            )
+            ecu_id = entry["ecu_id"]
+            x, y, u, v = (int(entry[k], 16) for k in "xyuv")
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed keyfile entry: {exc}") from exc
-        if group.exp(group.generator, kp.key_exp) != kp.pub_key or \
-                group.exp(group.generator, kp.bind_exp) != kp.pub_bind:
+        if not (0 < x < group.order and 0 < y < group.order):
             raise ConfigError(
-                f"keyfile entry {kp.ecu_id} has inconsistent public values")
-        keypairs.append(kp)
+                f"keyfile entry {ecu_id} has exponents outside [1, order)")
+        pub_key = group.exp(group.generator, x)
+        pub_bind = group.exp(group.generator, y)
+        if pub_key.value != u or pub_bind.value != v:
+            raise ConfigError(
+                f"keyfile entry {ecu_id} has inconsistent public values")
+        keypairs.append(kem.EcuKeyPair(ecu_id, x, y, pub_key, pub_bind))
     # Unit ids become node and CAN ids: they must be exactly 0..n-1.
     ids = [kp.ecu_id for kp in keypairs]
     if any(type(i) is not int for i in ids) or sorted(ids) != list(range(n)):
@@ -408,7 +415,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
 
     def run_stage(name: str, sender_id: int, msgs) -> None:
         start = net.now
-        net.schedule_protocol_send(sender_id, msgs, start)
+        net.schedule_protocol_send(sender_id, msgs)
         end = net.run_to_quiescence()
         phase_times[name] = {"start_us": start, "end_us": end,
                              "elapsed_us": end - start}
@@ -428,11 +435,9 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
             "the session phase cannot start")
     run_stage("session", sender_id, [sender.run_phase4(proto_rng)])
 
-    if cfg.post_ticks:
-        start = net.now
-        for i in range(cfg.post_ticks):
-            net.schedule_data_frame(ecus[i % len(ecus)].ecu_id, start)
-        net.run_to_quiescence()
+    for i in range(cfg.post_ticks):
+        net.schedule_data_frame(ecus[i % len(ecus)].ecu_id)
+    net.run_to_quiescence()
 
     # -- assemble the report ------------------------------------------------
     report = SimReport(group=cfg.group, n_ecus=cfg.n_ecus, rng_seed=cfg.rng_seed,

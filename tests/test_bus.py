@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canvault import kem
-from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
-                          frame_time_us, fragment, reassemble)
+from canvault.bus import (BusConfig, CanFdFrame, ForgeAction, LATENCY_PRESETS,
+                          Network, frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
@@ -94,9 +94,9 @@ class TestFrameTiming:
 
 
 class TestArbitration:
-    def build_two_node_net(self, toy, id_a, id_b):
+    def build_two_node_net(self, toy, id_a, id_b, bitrate_bps=1_000_000):
         rng = Random(0)
-        net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
+        net = Network(BusConfig(bitrate_bps), LATENCY_PRESETS["stm32"])
         kp_a, kp_b = kem.keygen(toy, 0, rng), kem.keygen(toy, 1, rng)
         net.add_ecu(Ecu(toy, kp_a), can_id=id_a)
         net.add_ecu(Ecu(toy, kp_b), can_id=id_b)
@@ -104,17 +104,30 @@ class TestArbitration:
 
     def test_lowest_id_wins_and_loser_queues(self, toy):
         net = self.build_two_node_net(toy, id_a=9, id_b=5)
-        net.schedule_data_frame(0, at_us=0)     # can_id 9
-        net.schedule_data_frame(1, at_us=0)     # can_id 5
+        net.schedule_data_frame(0)     # can_id 9
+        net.schedule_data_frame(1)     # can_id 5
         net.run_to_quiescence()
         assert [(f.timestamp_us, f.can_id) for f in net.sent] == [(0, 5), (192, 9)]
 
     def test_fifo_within_equal_priority(self, toy):
         net = self.build_two_node_net(toy, id_a=5, id_b=9)
-        net.schedule_data_frame(0, at_us=0)
-        net.schedule_data_frame(0, at_us=0)
+        net.schedule_data_frame(0)
+        net.schedule_data_frame(0)
         net.run_to_quiescence()
         assert [f.timestamp_us for f in net.sent] == [0, 192]
+
+    def test_fifo_by_readiness_not_by_scheduling(self, toy):
+        # A data frame holds the bus for 1536 us at 125 kbit/s. Two forged
+        # frames under the one adversary id become ready behind it, in the
+        # opposite order to the one they were scheduled in.
+        net = self.build_two_node_net(toy, id_a=5, id_b=9, bitrate_bps=125_000)
+        net.schedule_data_frame(0)
+        for body, at_us in ((b"late", 1000), (b"early", 500)):
+            net.inject_adversary(ForgeAction(MsgKind.SEED_BROADCAST, body,
+                                             SECU_ID, at_us=at_us))
+        net.run_to_quiescence()
+        assert [f.payload[4:] for f in net.sent[1:]] == [b"early", b"late"]
+        assert net.sent[1].timestamp_us == 1536
 
 
 class TestDeliveryAndDeterminism:
@@ -136,7 +149,7 @@ class TestDeliveryAndDeterminism:
         net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
         net.add_secu(secu)
         net.add_ecu(ecu)
-        net.schedule_protocol_send(SECU_ID, secu.run_phase2(rng), 0)
+        net.schedule_protocol_send(SECU_ID, secu.run_phase2(rng))
         net.run_to_quiescence()
         assert len(seen) == 1
         assert seen[0].kind is MsgKind.PAIRWISE_CIPHER

@@ -179,6 +179,18 @@ class TestKeygenCommand:
         assert "unit ids" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_keyfile_with_non_member_public_value_exits_2(self, tmp_path):
+        res = run_cli("keygen", "toy23", "2", "-o", "params.json", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "params.json").read_text())
+        data["keypairs"][0]["u"] = "5"      # not a square mod 23
+        (tmp_path / "params.json").write_text(json.dumps(data))
+        cfg = write_config(tmp_path / "cfg.json", keyfile="params.json")
+        res = run_cli("run", str(cfg), "-o", "report.json", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "inconsistent public values" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 def test_compare_exit_message_goes_to_stderr(tmp_path):
     res = run_cli("compare", "0", cwd=tmp_path)

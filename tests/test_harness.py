@@ -178,6 +178,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_latency_profile(f"custom:{path}")
 
+    def test_custom_profile_must_be_an_object(self, tmp_path):
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps([{"eccdh": 1}]))
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_latency_profile(f"custom:{path}")
+
 
 class TestHonestScenarios:
     def test_reference_run(self):
@@ -227,6 +233,11 @@ class TestHonestScenarios:
         assert report.data_frames == 15
         assert report.refresh_events == 3      # one rotation per 5 ticks
         assert report.converged["session"]
+
+
+def _with_first_entry(keyfile: dict, **fields) -> dict:
+    """A keyfile holding only its first keypair, with ``fields`` replaced."""
+    return {**keyfile, "keypairs": [{**keyfile["keypairs"][0], **fields}]}
 
 
 class TestKeyfiles:
@@ -285,6 +296,26 @@ class TestKeyfiles:
         with pytest.raises(ConfigError, match="unit ids"):
             run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path))
 
+    # toy23: modulus 23, order 11. A non-member u (5 is no square mod 23),
+    # an x congruent to the right one but outside [1, order), x = 0 with its
+    # consistent u = g^0, a top-level list, and keypairs that are no list.
+    @pytest.mark.parametrize("malform", [
+        lambda d: _with_first_entry(d, u="5"),
+        lambda d: _with_first_entry(
+            d, x=f"{int(d['keypairs'][0]['x'], 16) - 11:x}"),
+        lambda d: _with_first_entry(d, x="0", u="1"),
+        lambda d: [d],
+        lambda d: {**d, "keypairs": {"a": 1}},
+    ], ids=["non_member_u", "x_minus_order", "zero_x", "list", "keypairs_dict"])
+    def test_malformed_keyfile_refused(self, tmp_path, malform):
+        group = get_group("toy23")
+        path = tmp_path / "params.json"
+        write_keyfile(str(path), group, [kem.keygen(group, 0, Random(0))])
+        path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+        with pytest.raises(ConfigError):
+            run_scenario(ScenarioConfig(group="toy23", n_ecus=1,
+                                        keyfile=str(path)))
+
     def test_keyfile_unit_ids_in_any_order_run(self, tmp_path):
         path = self.keyfile_with_ids(tmp_path, [2, 1, 0])
         report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path))
@@ -325,6 +356,15 @@ class TestAdversaryScenarios:
         assert replayers == {"ecu0", "ecu1", "ecu2"}
         assert report.converged["session"]
         assert report.logical_messages == 7     # replays are not counted
+
+    def test_each_replay_entry_sends_its_own_copy(self):
+        replay = {"action": "replay", "target": "group_secret", "occurrence": 1}
+        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3,
+                                             adversary=[replay, replay]))
+        # 10 honest frames plus two 2-frame copies of ecu1's group secret
+        assert report.frames == 14
+        assert [(r["node"], r["reason"]) for r in report.rejections] == \
+            [("ecu1", "replay"), ("ecu1", "replay")]
 
     def test_forged_pairwise_rejected_at_target(self):
         cfg = ScenarioConfig(group="toy23", n_ecus=2, adversary=[
