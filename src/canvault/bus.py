@@ -30,6 +30,7 @@ from .protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
 
 _FRAG_HEADER = struct.Struct(">HBB")     # msg_seq, frag_index, frag_total
 FRAG_HEADER_LEN = _FRAG_HEADER.size
+MAX_MSG_SEQ = 0xFFFF        # sequence numbers run 1..MAX_MSG_SEQ and never wrap
 FRAME_DATA_MAX = 60
 
 SECU_CAN_ID = 0x010
@@ -93,7 +94,7 @@ def fragment(msg: WireMessage, can_id: int, msg_seq: int,
     frames = []
     for idx in range(total):
         chunk = msg.body[idx * FRAME_DATA_MAX:(idx + 1) * FRAME_DATA_MAX]
-        header = _FRAG_HEADER.pack(msg_seq & 0xFFFF, idx, total)
+        header = _FRAG_HEADER.pack(msg_seq, idx, total)
         frames.append(CanFdFrame(
             can_id=can_id, payload=header + chunk, kind=msg.kind,
             sender=msg.sender, receiver=msg.receiver,
@@ -385,14 +386,13 @@ class Network:
         parts[frame.frag_index] = frame
         if len(parts) == frame.frag_total:
             del self._partial[key]
-            try:
-                msg = reassemble(list(parts.values()))
-            except ValueError:
-                pass                # mismatched fragment set; drop silently
-            else:
-                for node_id in sorted(self._nodes):
-                    if node_id != frame.origin:
-                        self._dispatch(self._nodes[node_id], msg)
+            # Sequence numbers are unique, tampers flip only body bits, and
+            # frames under one CAN id leave arbitration in readiness order,
+            # so a complete set always reassembles.
+            msg = reassemble(list(parts.values()))
+            for node_id in sorted(self._nodes):
+                if node_id != frame.origin:
+                    self._dispatch(self._nodes[node_id], msg)
         if frame.frag_index == frame.frag_total - 1:
             for copies, delay in self._captures.pop(
                     (frame.origin, frame.msg_seq), ()):

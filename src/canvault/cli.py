@@ -13,8 +13,9 @@ Subcommands:
 The ``CANVAULT_SEED`` environment variable overrides the seed used by
 ``run`` and ``keygen``.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 a run-level check
-or stage failed.
+Exit codes: 0 success, 2 configuration or usage error (an unwritable output
+path included), 3 a run-level check failed or the run stalled; ``run`` writes
+the report in both cases of 3.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CanvaultError as exc:

@@ -29,10 +29,6 @@ class StateError(CanvaultError):
     """A protocol operation was invoked out of phase order."""
 
 
-class DeadlockError(CanvaultError):
-    """The simulation drained its event queue with a phase unable to finish."""
-
-
 class ConfigError(CanvaultError):
     """A scenario configuration is malformed or fails validation."""
 
@@ -50,3 +46,8 @@ class RunCheckError(CanvaultError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class DeadlockError(RunCheckError):
+    """A protocol phase could not start: the run stalled. Carries the report
+    of the stages that did run."""

@@ -7,8 +7,9 @@ Two instantiations ship with the package:
 * ``schnorr256`` -- a 2048-bit prime modulus with a 256-bit prime-order
   subgroup, giving a 128-bit security level without any curve plumbing.
 
-All exponents are plain ints in ``[0, order)``; elements are wrapped so the
-wire-decoding path can enforce subgroup membership once, at construction.
+All exponents are plain ints in ``[0, order)``. An element's format, its
+fixed-width bytes and its keyfile text, is known only here: other modules
+handle elements through :class:`Group`'s methods.
 
 Every group power is one call of :func:`_powmod`: ``BN_mod_exp`` of the
 libcrypto that CPython's ``ssl`` module links (a Montgomery exponentiation in
@@ -92,7 +93,8 @@ def _libcrypto_powmod():
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Reduced residue that belongs to the prime-order subgroup of a Group."""
+    """Reduced residue of a Group's modulus; :meth:`Group.decode_element`
+    returns only subgroup members."""
 
     value: int
 
@@ -106,18 +108,15 @@ class Group:
         order: prime order of the cyclic subgroup; exponents live mod this.
         generator: fixed generator of the subgroup.
         security_bits: k such that 2^k < order < 2^(k+1).
-        key_len_bits: output width of the key-derivation hash (256).
         element_len: byte length of the fixed-width element encoding.
     """
 
-    def __init__(self, name: str, modulus: int, order: int, generator: int,
-                 key_len_bits: int = 256):
+    def __init__(self, name: str, modulus: int, order: int, generator: int):
         self.name = name
         self.modulus = modulus
         self.order = order
         self.generator = GroupElement(generator % modulus)
         self.security_bits = order.bit_length() - 1
-        self.key_len_bits = key_len_bits
         self.element_len = (modulus.bit_length() + 7) // 8
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
@@ -129,16 +128,10 @@ class Group:
     def identity(self) -> GroupElement:
         return GroupElement(1)
 
-    def is_member(self, value: int) -> bool:
-        """True iff ``value`` is a representative of the order-p subgroup."""
-        return 0 < value < self.modulus and \
-            _powmod(value, self.order, self.modulus) == 1
-
-    def element(self, value: int) -> GroupElement:
-        """Checked constructor; rejects values outside the subgroup."""
-        if not self.is_member(value):
-            raise DecodeError(f"{value} is not in the order-{self.order} subgroup")
-        return GroupElement(value)
+    def is_member(self, e: GroupElement) -> bool:
+        """True iff ``e`` is a reduced member of the order-p subgroup."""
+        return 0 < e.value < self.modulus and \
+            _powmod(e.value, self.order, self.modulus) == 1
 
     def exp(self, base: GroupElement, e: int) -> GroupElement:
         """base ** e within the group.
@@ -173,10 +166,36 @@ class Group:
         Raises:
             DecodeError: wrong length, or the value is not a subgroup member.
         """
+        e = self._from_bytes(data)
+        if not self.is_member(e):
+            raise DecodeError(f"{e.value} is not in the order-{self.order} subgroup")
+        return e
+
+    def decode_residue(self, data: bytes) -> GroupElement:
+        """Like :meth:`decode_element`, but only checks that the value is a
+        residue in [1, modulus), not that it is a subgroup member.
+
+        Meant for a value that is later compared with a subgroup member: a
+        non-member never equals one, so the comparison stands in for the
+        membership check.
+
+        Raises:
+            DecodeError: wrong length, or the value is outside [1, modulus).
+        """
+        e = self._from_bytes(data)
+        if not 0 < e.value < self.modulus:
+            raise DecodeError(f"{e.value} is not a residue mod the modulus")
+        return e
+
+    def _from_bytes(self, data: bytes) -> GroupElement:
         if len(data) != self.element_len:
             raise DecodeError(
                 f"element encoding must be {self.element_len} bytes, got {len(data)}")
-        return self.element(int.from_bytes(data, "big"))
+        return GroupElement(int.from_bytes(data, "big"))
+
+    def element_hex(self, e: GroupElement) -> str:
+        """Keyfile text form: lower-case hex, no prefix, no leading zeros."""
+        return f"{e.value:x}"
 
     def elements(self) -> list[GroupElement]:
         """Every subgroup member, by enumerating generator powers.

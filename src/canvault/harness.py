@@ -20,9 +20,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
 from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
-                  RECV_CHARGES, REFRESH_CHARGE, SEND_CHARGES, BusConfig,
-                  ForgeAction, Network, ReplayAction, SimReport, TamperAction,
-                  fragment_count)
+                  MAX_MSG_SEQ, RECV_CHARGES, REFRESH_CHARGE, SEND_CHARGES,
+                  BusConfig, ForgeAction, Network, ReplayAction, SimReport,
+                  TamperAction, fragment_count)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
@@ -218,6 +218,14 @@ class ScenarioConfig:
             raise ConfigError("replay_cache_size must be >= 1")
         if self.phase4_sender is not None and not 0 <= self.phase4_sender < self.n_ecus:
             raise ConfigError("phase4_sender must name a unit in [0, n_ecus)")
+        # Every protocol message and every forgery takes the next 16-bit
+        # fragment sequence number; a wrap would let two sets share one.
+        forges = sum(isinstance(entry, dict) and entry.get("action") == "forge"
+                     for entry in self.adversary)
+        if 2 * self.n_ecus + 1 + forges > MAX_MSG_SEQ:
+            raise ConfigError(f"{2 * self.n_ecus + 1} protocol messages and "
+                              f"{forges} forgeries exceed the {MAX_MSG_SEQ} "
+                              "fragment sequence numbers")
         for entry in self.adversary:
             _validate_adversary_entry(entry, self.group)
 
@@ -320,8 +328,8 @@ def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> No
                 "ecu_id": kp.ecu_id,
                 "x": f"{kp.key_exp:x}",
                 "y": f"{kp.bind_exp:x}",
-                "u": f"{kp.pub_key.value:x}",
-                "v": f"{kp.pub_bind.value:x}",
+                "u": group.element_hex(kp.pub_key),
+                "v": group.element_hex(kp.pub_bind),
             }
             for kp in keypairs
         ],
@@ -333,7 +341,9 @@ def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> No
 
 def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
     """Read ``n`` keypairs, each checked by re-deriving its public halves:
-    ``x`` and ``y`` must lie in [1, order) with ``g^x == u`` and ``g^y == v``."""
+    ``x`` and ``y`` must lie in [1, order), and ``u`` and ``v`` must be the
+    keyfile text of ``g^x`` and ``g^y``, spelled as :func:`write_keyfile`
+    spells them."""
     data = _read_json_object("keyfile", path)
     if data.get("group") != group.name:
         raise ConfigError(
@@ -347,7 +357,8 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
     for entry in entries[:n]:
         try:
             ecu_id = entry["ecu_id"]
-            x, y, u, v = (int(entry[k], 16) for k in "xyuv")
+            x, y = (int(entry[k], 16) for k in "xy")
+            u, v = entry["u"], entry["v"]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed keyfile entry: {exc}") from exc
         if not (0 < x < group.order and 0 < y < group.order):
@@ -355,7 +366,7 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
                 f"keyfile entry {ecu_id} has exponents outside [1, order)")
         pub_key = group.exp(group.generator, x)
         pub_bind = group.exp(group.generator, y)
-        if pub_key.value != u or pub_bind.value != v:
+        if group.element_hex(pub_key) != u or group.element_hex(pub_bind) != v:
             raise ConfigError(
                 f"keyfile entry {ecu_id} has inconsistent public values")
         keypairs.append(kem.EcuKeyPair(ecu_id, x, y, pub_key, pub_bind))
@@ -382,9 +393,9 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     """Run the full key establishment under a scenario config.
 
     Raises:
-        DeadlockError: a stage could not complete and nothing explains why
-            it should not (wiring bug), or the elected seed sender was left
-            without a group secret (adversary-induced stall).
+        DeadlockError: the elected seed sender was left without a group
+            secret, so the session stage was skipped (adversary-induced
+            stall); the report rides on the exception for persistence.
         RunCheckError: a run-level check failed; the report rides on the
             exception for persistence.
     """
@@ -421,19 +432,13 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
                              "elapsed_us": end - start}
 
     run_stage("pairwise", SECU_ID, secu.run_phase2(proto_rng))
-    if all(e.pairwise is None for e in ecus) and not net.rejections:
-        raise DeadlockError("no unit derived a pairwise secret and no "
-                            "rejection explains the stall")
-
     run_stage("group_secret", SECU_ID, secu.run_phase3(proto_rng))
 
     sender_id = min(by_id) if cfg.phase4_sender is None else cfg.phase4_sender
     sender = by_id[sender_id]
-    if sender.group_secret is None:
-        raise DeadlockError(
-            f"seed sender ecu{sender_id} holds no group secret; "
-            "the session phase cannot start")
-    run_stage("session", sender_id, [sender.run_phase4(proto_rng)])
+    stalled = sender.group_secret is None
+    if not stalled:
+        run_stage("session", sender_id, [sender.run_phase4(proto_rng)])
 
     for i in range(cfg.post_ticks):
         net.schedule_data_frame(ecus[i % len(ecus)].ecu_id)
@@ -482,6 +487,9 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
 
     if trace_path is not None:
         net.write_trace_csv(trace_path)
+    if stalled:
+        raise DeadlockError(f"seed sender ecu{sender_id} holds no group secret; "
+                            "the session phase could not start", report=report)
     if not all(checks.values()):
         failed = sorted(name for name, ok in checks.items() if not ok)
         raise RunCheckError(f"run checks failed: {failed}", report=report)

@@ -137,14 +137,14 @@ def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:
             match.
     """
     n = group.element_len
-    c = int.from_bytes(body[:n], "big")
-    binding = int.from_bytes(body[n:], "big")
-    if len(body) != 2 * n or not group.is_member(c) or \
-            not 0 < binding < group.modulus:
-        decode_ciphertext(group, body)      # raises, with the reason
     try:
-        return decapsulate(group, keypair, KemCiphertext(
-            ephemeral=GroupElement(c), binding=GroupElement(binding)))
+        ct = KemCiphertext(ephemeral=group.decode_element(body[:n]),
+                           binding=group.decode_residue(body[n:]))
+    except DecodeError:
+        decode_ciphertext(group, body)      # raises, with the reason
+        raise
+    try:
+        return decapsulate(group, keypair, ct)
     except ConsistencyError:
         decode_ciphertext(group, body)      # a non-member binding is a decode failure
         raise
@@ -156,10 +156,8 @@ def encode_ciphertext(group: Group, ct: KemCiphertext) -> bytes:
 
 
 def decode_ciphertext(group: Group, data: bytes) -> KemCiphertext:
-    """Inverse of :func:`encode_ciphertext`; rejects non-member elements."""
-    if len(data) != 2 * group.element_len:
-        raise DecodeError(
-            f"ciphertext must be {2 * group.element_len} bytes, got {len(data)}")
+    """Inverse of :func:`encode_ciphertext`; rejects non-member elements and,
+    through the two fixed-length halves, every wrong length."""
     return KemCiphertext(
         ephemeral=group.decode_element(data[: group.element_len]),
         binding=group.decode_element(data[group.element_len:]),

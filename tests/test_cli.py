@@ -79,6 +79,26 @@ class TestRunCommand:
         res = run_cli("run", str(cfg), cwd=tmp_path)
         assert res.returncode == 3
         assert "group secret" in res.stderr
+        # The stalled run still writes the report that explains the stall.
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {"node": "ecu0", "reason": "mac"}.items() <= \
+            report["rejections"][0].items()
+        assert "session" not in report["phase_times"]
+
+    def test_unwritable_report_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        res = run_cli("run", str(cfg), "-o", "missing/report.json", cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_unwritable_trace_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        res = run_cli("run", str(cfg), "--trace", "missing/trace.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
 
     def test_trace_option_writes_frame_log(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -152,6 +172,13 @@ class TestKeygenCommand:
     def test_zero_count_exits_2(self, tmp_path):
         res = run_cli("keygen", "toy23", "0", cwd=tmp_path)
         assert res.returncode == 2
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        res = run_cli("keygen", "toy23", "2", "-o", "missing/params.json",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
 
     def test_keyfile_run_equals_inline_run(self, tmp_path):
         res = run_cli("keygen", "toy23", "3", "-o", "params.json",

@@ -1,12 +1,13 @@
 """Golden digests: the SHA-256 of ``report.to_json()`` and of the trace CSV
-for small honest and adversarial runs. A refactor or speed-up that changes
-any simulated number, rejection, timing or frame changes one of these
-digests."""
+for small honest and adversarial runs, and of ``canvault keygen`` files. A
+refactor or speed-up that changes any simulated number, rejection, timing,
+frame or keyfile byte changes one of these digests."""
 
 import hashlib
 
 import pytest
 
+from canvault import cli
 from canvault.harness import ScenarioConfig, run_scenario
 
 
@@ -83,3 +84,21 @@ def test_trace_csv_digest_is_pinned(name, tmp_path):
     path = tmp_path / "trace.csv"
     run_scenario(ScenarioConfig.from_dict(raw), trace_path=str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of ``canvault keygen <group> <n> --seed 0``: the keyfile text of
+# exponents and elements.
+GOLDEN_KEYFILES = {
+    ("toy23", 4):
+        "54e7a66773bd65cc07571dadda3c9ef6fc52337f1e52ed7afaaba610285f349a",
+    ("schnorr256", 2):
+        "53d90043052ff5ec2424bd2f8fd2bf2b4492a9a1104d295019805b99ed07cd8f",
+}
+
+
+@pytest.mark.parametrize("group, n", sorted(GOLDEN_KEYFILES))
+def test_keyfile_digest_is_pinned(group, n, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    path = tmp_path / "params.json"
+    assert cli.main(["keygen", group, str(n), "--seed", "0", "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_KEYFILES[group, n]

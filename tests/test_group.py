@@ -73,7 +73,7 @@ class TestToyGroup:
     def test_is_member_matches_enumeration(self, toy):
         members = {e.value for e in toy.elements()}
         for v in range(-2, 50):
-            assert toy.is_member(v) == (v in members)
+            assert toy.is_member(GroupElement(v)) == (v in members)
 
     def test_generator_table_matches_pow_exhaustively(self, toy):
         for g in (toy.generator, GroupElement(2)):
@@ -167,7 +167,6 @@ class TestSchnorr256:
 
     def test_parameters(self, big):
         assert big.security_bits == 255
-        assert big.key_len_bits == 256
         assert big.element_len == 256
 
     def test_double_exp_law_randomized(self, big):

@@ -150,6 +150,22 @@ class TestConfigValidation:
         ScenarioConfig(**self.base(adversary=[
             {"action": "tamper", "target": "seed_broadcast", "bit": 48 * 8 - 1}]))
 
+    def test_sequence_numbers_cannot_wrap(self):
+        # One sequence number per protocol message and per forgery; refused
+        # before the 65533 entries would be checked one by one.
+        forge = {"action": "forge", "target": "seed_broadcast"}
+        with pytest.raises(ConfigError, match="sequence"):
+            ScenarioConfig(**self.base(n_ecus=1, adversary=[forge] * 65533))
+
+    def test_sequence_bound_counts_protocol_messages_and_forgeries(
+            self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_MSG_SEQ", 7)
+        forge = {"action": "forge", "target": "seed_broadcast"}
+        replay = {"action": "replay", "target": "seed_broadcast"}
+        ScenarioConfig(**self.base(adversary=[forge] * 2 + [replay] * 3))
+        with pytest.raises(ConfigError, match="sequence"):
+            ScenarioConfig(**self.base(adversary=[forge] * 3))
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError):
             load_latency_profile("pentium")
