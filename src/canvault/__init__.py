@@ -11,7 +11,7 @@ message counts and phase timings are reproducible.
 from .bus import SimReport
 from .errors import (CanvaultError, ConfigError, ConsistencyError,
                      DeadlockError, DecodeError, DecryptError, DomainError,
-                     MacError, RunCheckError, StateError)
+                     RunCheckError, StateError)
 from .group import Group, GroupElement, get_group
 from .harness import ScenarioConfig, Scheme, comparison_ratios, \
     expected_messages, run_scenario
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanvaultError", "ConfigError", "ConsistencyError", "DeadlockError",
-    "DecodeError", "DecryptError", "DomainError", "MacError", "RunCheckError",
+    "DecodeError", "DecryptError", "DomainError", "RunCheckError",
     "StateError", "Group", "GroupElement", "get_group", "ScenarioConfig",
     "Scheme", "SimReport", "comparison_ratios", "expected_messages",
     "run_scenario", "__version__",

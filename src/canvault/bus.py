@@ -177,15 +177,11 @@ class ReplayAction:
 
 @dataclass
 class ForgeAction:
-    """Inject a fabricated message at a chosen time under the adversary id."""
+    """Send a fabricated message at a chosen time under the adversary id;
+    the harness draws its body and claims the central node as sender."""
     kind: MsgKind
-    body: bytes
-    sender: int             # claimed sender, typically the central node
     receiver: Optional[int] = None
     at_us: int = 0
-
-
-AdversaryAction = Union[TamperAction, ReplayAction, ForgeAction]
 
 
 @dataclass
@@ -319,15 +315,16 @@ class Network:
             sender=sender_id, receiver=None, origin=sender_id)
         self._schedule(frame, self.now)
 
-    def inject_adversary(self, action: AdversaryAction) -> None:
+    def inject_adversary(self, action: Union[TamperAction, ReplayAction]) -> None:
+        """Register a tamper or replay for every message sent after it."""
         if isinstance(action, TamperAction):
             self._tampers.append(action)
-        elif isinstance(action, ReplayAction):
-            self._replays.append(action)
         else:
-            msg = WireMessage(action.kind, action.sender, action.receiver,
-                              action.body)
-            self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, action.at_us)
+            self._replays.append(action)
+
+    def forge(self, msg: WireMessage, at_us: int) -> None:
+        """Send a fabricated message under the adversary's CAN id."""
+        self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, at_us)
 
     def _send_message(self, origin: int, can_id: int, msg: WireMessage,
                       t: int) -> None:

@@ -14,8 +14,8 @@ The ``CANVAULT_SEED`` environment variable overrides the seed used by
 ``run`` and ``keygen``.
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable output
-path included), 3 a run-level check failed or the run stalled; ``run`` writes
-the report in both cases of 3.
+path included, refused before the run), 3 a run-level check failed or the
+run stalled; ``run`` writes the report in both cases of 3.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ import argparse
 import dataclasses
 import os
 import sys
-from random import Random
 
-from . import kem
 from .errors import CanvaultError, ConfigError, DomainError, RunCheckError
 from .group import GROUP_NAMES, get_group
-from .harness import (ScenarioConfig, comparison_table, run_scenario,
-                      write_keyfile)
+from .harness import (ScenarioConfig, comparison_table, generate_keypairs,
+                      run_scenario, write_keyfile)
 
 SEED_ENV = "CANVAULT_SEED"
 
@@ -50,6 +48,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = _env_seed()
     if seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=seed)
+    # Outputs are checked before the run, so a refused run writes nothing.
+    for path in filter(None, (args.out, args.trace)):
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ConfigError(f"cannot write {path}")
     code = 0
     try:
         report = run_scenario(cfg, trace_path=args.trace)
@@ -82,10 +85,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     seed = _env_seed()
     if seed is None:
         seed = args.seed
-    rng = Random(f"canvault:{seed}:keygen")
-    keypairs = [kem.keygen(group, i, rng) for i in range(args.n)]
     out = args.out or f"params_{group.name}.json"
-    write_keyfile(out, group, keypairs)
+    write_keyfile(out, group, generate_keypairs(group, args.n, seed))
     print(f"{out}: {args.n} keypairs for group {group.name} (seed {seed})")
     return 0
 

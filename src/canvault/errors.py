@@ -21,10 +21,6 @@ class ConsistencyError(CanvaultError):
     """KEM ciphertext failed the decapsulation consistency check."""
 
 
-class MacError(CanvaultError):
-    """A message authentication tag did not verify."""
-
-
 class StateError(CanvaultError):
     """A protocol operation was invoked out of phase order."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
@@ -22,11 +23,11 @@ from . import kem
 from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
                   MAX_MSG_SEQ, RECV_CHARGES, REFRESH_CHARGE, SEND_CHARGES,
                   BusConfig, ForgeAction, Network, ReplayAction, SimReport,
-                  TamperAction, fragment_count)
+                  TamperAction, fragment, fragment_count, frame_time_us)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
-    MsgKind, Secu, body_length
+    MsgKind, Secu, WireMessage, body_length
 
 
 class Scheme(enum.Enum):
@@ -106,25 +107,26 @@ def affine_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 # -- scenario configuration -------------------------------------------------
 
-# An adversary entry names its action and its target message kind; its other
-# keys are the fields of the action's dataclass, with that class's defaults.
+# An adversary entry names its action and, as ``target``, the action's first
+# field ``kind``; its other keys are the action's other fields and defaults.
 _ACTIONS = {"tamper": TamperAction, "replay": ReplayAction, "forge": ForgeAction}
-_BUILT_FIELDS = {"kind", "body", "sender"}      # filled in by the harness
 
 
 def _required(f: dataclasses.Field) -> bool:
     return f.default is MISSING and f.default_factory is MISSING
 
 
-def _check_keys(what: str, cls, raw: dict, built=frozenset()) -> None:
-    """Refuse keys that are not fields of ``cls``, and missing required ones."""
-    fields = [f for f in dataclasses.fields(cls) if f.name not in built]
+def _check_keys(what: str, fields: tuple, raw: dict) -> None:
+    """Refuse keys that are not among ``fields``, and missing required ones."""
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     for f in fields:
         if _required(f) and f.name not in raw:
             raise ConfigError(f"missing required {what} key {f.name!r}")
+
+
+_type_hints = functools.cache(get_type_hints)      # read once per class
 
 
 def _check_values(what: str, cls, values: dict) -> None:
@@ -134,7 +136,7 @@ def _check_values(what: str, cls, values: dict) -> None:
     ``int`` field is a count, size or time and so >= 0; the unit ids
     (``phase4_sender``, ``receiver``) are the ``Optional[int]`` fields.
     """
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     for name, value in values.items():
         hint = hints[name]
         allowed = get_args(hint) if get_origin(hint) is Union else (hint,)
@@ -158,11 +160,6 @@ def _read_json_object(what: str, path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object")
     return data
-
-
-def _settings(entry: dict) -> dict:
-    """An adversary entry's keys for its action's dataclass."""
-    return {k: v for k, v in entry.items() if k not in ("action", "target")}
 
 
 @dataclass
@@ -190,7 +187,7 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario config must be a JSON object")
-        _check_keys("config", cls, raw)
+        _check_keys("config", dataclasses.fields(cls), raw)
         nulls = sorted(key for key, value in raw.items() if value is None)
         if nulls:
             raise ConfigError(f"config keys {nulls} are null; leave an "
@@ -226,18 +223,21 @@ class ScenarioConfig:
             raise ConfigError(f"{2 * self.n_ecus + 1} protocol messages and "
                               f"{forges} forgeries exceed the {MAX_MSG_SEQ} "
                               "fragment sequence numbers")
+        group = get_group(self.group)
         for entry in self.adversary:
-            _validate_adversary_entry(entry, self.group)
+            _adversary_action(entry, group)
 
 
-def _validate_adversary_entry(entry, group: str) -> None:
+def _adversary_action(entry, group: Group):
+    """Check one adversary config entry and return its bus action."""
     if not isinstance(entry, dict):
         raise ConfigError("adversary entries must be objects")
     action = entry.get("action")
     if not isinstance(action, str) or action not in _ACTIONS:
         raise ConfigError(f"adversary action must be one of {sorted(_ACTIONS)}")
-    cls, settings = _ACTIONS[action], _settings(entry)
-    _check_keys(f"{action} adversary", cls, settings, _BUILT_FIELDS)
+    cls = _ACTIONS[action]
+    settings = {k: v for k, v in entry.items() if k not in ("action", "target")}
+    _check_keys(f"{action} adversary", dataclasses.fields(cls)[1:], settings)
     target = entry.get("target")
     try:
         kind = MsgKind(target)
@@ -245,9 +245,9 @@ def _validate_adversary_entry(entry, group: str) -> None:
         raise ConfigError(f"adversary target must be a message kind, got {target!r}") \
             from None
     _check_values("adversary", cls, settings)
-    if cls is TamperAction and \
-            settings["bit"] >= body_length(get_group(group), kind) * 8:
+    if cls is TamperAction and settings["bit"] >= body_length(group, kind) * 8:
         raise ConfigError(f"tamper bit {settings['bit']} outside a {target} body")
+    return cls(kind, **settings)
 
 
 def _check_latency_profile_name(name: str) -> None:
@@ -283,26 +283,14 @@ def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
     return name, table
 
 
-def _parse_adversary(cfg: ScenarioConfig, group: Group, rng: Random) -> list:
-    """Turn config entries into bus actions, building forged bodies here."""
-    actions = []
-    for entry in cfg.adversary:
-        cls = _ACTIONS[entry["action"]]
-        kind = MsgKind(entry["target"])
-        settings = _settings(entry)
-        if cls is ForgeAction:
-            if kind is MsgKind.PAIRWISE_CIPHER:
-                # Random valid group elements: they decode fine and then
-                # fail the decapsulation consistency check.
-                body = b"".join(
-                    group.encode_element(
-                        group.exp(group.generator, group.random_scalar(rng)))
-                    for _ in range(2))
-            else:
-                body = rng.randbytes(body_length(group, kind))
-            settings.update(body=body, sender=SECU_ID)
-        actions.append(cls(kind=kind, **settings))
-    return actions
+def _forged_body(group: Group, kind: MsgKind, rng: Random) -> bytes:
+    if kind is MsgKind.PAIRWISE_CIPHER:
+        # Random valid group elements: they decode fine and then fail the
+        # decapsulation consistency check.
+        return b"".join(
+            group.encode_element(group.exp(group.generator, group.random_scalar(rng)))
+            for _ in range(2))
+    return rng.randbytes(body_length(group, kind))
 
 
 # -- key parameter files ------------------------------------------------------
@@ -315,6 +303,12 @@ CRYPTOPERIODS_YEARS = {
     "symmetric_authentication": 2,
     "symmetric_data_encryption": 5,
 }
+
+
+def generate_keypairs(group: Group, n: int, seed: int) -> list[kem.EcuKeyPair]:
+    """The ``n`` keypairs a seed provisions, for inline runs and keyfiles alike."""
+    rng = Random(f"canvault:{seed}:keygen")
+    return [kem.keygen(group, i, rng) for i in range(n)]
 
 
 def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> None:
@@ -389,6 +383,36 @@ def _honest_frame_count(group: Group, n: int) -> int:
                for kind, count in per_kind.items())
 
 
+def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]],
+                         bus: BusConfig) -> dict[str, dict[str, int]]:
+    """The ``phase_times`` of an honest run, in closed form.
+
+    Per stage, a max-plus recurrence: the sender charges each message's
+    ``SEND_CHARGES`` in turn; a message's frames start once it is ready and
+    the previous message has left the bus, and go back to back; the stage
+    ends when the last message has been received, after the slowest
+    receiver's ``RECV_CHARGES``. The seed reaches the SECU and every unit
+    but its sender, so at n = 1 only the SECU's charge counts.
+    """
+    stages = (("pairwise", "secu", MsgKind.PAIRWISE_CIPHER, n, ("ecu",)),
+              ("group_secret", "secu", MsgKind.GROUP_SECRET, n, ("ecu",)),
+              ("session", "ecu", MsgKind.SEED_BROADCAST, 1,
+               ("secu", "ecu") if n > 1 else ("secu",)))
+    times, start = {}, 0
+    for name, sender, kind, count, receivers in stages:
+        msg = WireMessage(kind, SECU_ID, None, bytes(body_length(group, kind)))
+        wire = sum(frame_time_us(f, bus) for f in fragment(msg, 0, 0))
+        ready = end = start
+        for _ in range(count):
+            ready += sum(latency[sender][op] for op in SEND_CHARGES[kind])
+            end = max(ready, end) + wire
+        end += max(sum(latency[node][op] for op in RECV_CHARGES[kind])
+                   for node in receivers)
+        times[name] = {"start_us": start, "end_us": end, "elapsed_us": end - start}
+        start = end
+    return times
+
+
 def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimReport:
     """Run the full key establishment under a scenario config.
 
@@ -401,14 +425,13 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     """
     group = get_group(cfg.group)
     profile_name, latency = load_latency_profile(cfg.latency_profile)
-    keygen_rng = Random(f"canvault:{cfg.rng_seed}:keygen")
     proto_rng = Random(f"canvault:{cfg.rng_seed}:protocol")
     adversary_rng = Random(f"canvault:{cfg.rng_seed}:adversary")
 
     if cfg.keyfile is not None:
         keypairs = load_keyfile(cfg.keyfile, group, cfg.n_ecus)
     else:
-        keypairs = [kem.keygen(group, i, keygen_rng) for i in range(cfg.n_ecus)]
+        keypairs = generate_keypairs(group, cfg.n_ecus, cfg.rng_seed)
 
     secu = Secu(group, [(kp.ecu_id, kp.public) for kp in keypairs])
     ecus = [Ecu(group, kp, ctr_max=cfg.ctr_max,
@@ -419,8 +442,17 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     net.add_secu(secu)
     for ecu in ecus:
         net.add_ecu(ecu)
-    for action in _parse_adversary(cfg, group, adversary_rng):
-        net.inject_adversary(action)
+    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
+    for action in actions:
+        if not isinstance(action, ForgeAction):
+            net.inject_adversary(action)
+    # Forgeries go out once every tamper and replay is registered, so those
+    # hit a forgery whichever entry is listed first.
+    for action in actions:
+        if isinstance(action, ForgeAction):
+            body = _forged_body(group, action.kind, adversary_rng)
+            net.forge(WireMessage(action.kind, SECU_ID, action.receiver, body),
+                      action.at_us)
 
     phase_times = {}
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canvault import kem
-from canvault.bus import (BusConfig, CanFdFrame, ForgeAction, LATENCY_PRESETS,
-                          Network, frame_time_us, fragment, reassemble)
+from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
+                          frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
@@ -123,8 +123,7 @@ class TestArbitration:
         net = self.build_two_node_net(toy, id_a=5, id_b=9, bitrate_bps=125_000)
         net.schedule_data_frame(0)
         for body, at_us in ((b"late", 1000), (b"early", 500)):
-            net.inject_adversary(ForgeAction(MsgKind.SEED_BROADCAST, body,
-                                             SECU_ID, at_us=at_us))
+            net.forge(make_msg(body), at_us)
         net.run_to_quiescence()
         assert [f.payload[4:] for f in net.sent[1:]] == [b"early", b"late"]
         assert net.sent[1].timestamp_us == 1536

@@ -100,6 +100,14 @@ class TestRunCommand:
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
 
+    def test_outputs_are_checked_before_the_run(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        res = run_cli("run", str(cfg), "-o", "missing/report.json",
+                      "--trace", "t.csv", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "missing/report.json" in res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
     def test_trace_option_writes_frame_log(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         res = run_cli("run", str(cfg), "--trace", "trace.csv", cwd=tmp_path)

@@ -6,17 +6,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvault import harness, kem
-from canvault.bus import SimReport
+from canvault.bus import BusConfig, SimReport
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
 from canvault.group import get_group
 from canvault.harness import (ScenarioConfig, Scheme, affine_fit,
                               comparison_ratios, comparison_table,
                               computation_tally_us, expected_messages,
-                              load_latency_profile, run_scenario,
-                              write_keyfile)
+                              expected_phase_times, load_latency_profile,
+                              run_scenario, write_keyfile)
 
 
 class TestMessageFormulas:
@@ -166,6 +168,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sequence"):
             ScenarioConfig(**self.base(adversary=[forge] * 3))
 
+    def test_largest_admissible_adversary_list_parses(self):
+        # 3 protocol messages and 65532 forgeries take every sequence number.
+        forge = {"action": "forge", "target": "seed_broadcast"}
+        cfg = ScenarioConfig(**self.base(n_ecus=1, adversary=[forge] * 65532))
+        assert len(cfg.adversary) == 65532
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"action": "replay", "occurrence": 1}, "target"),
+        ({"action": "replay", "target": "seed_broadcast",
+          "kind": "seed_broadcast"}, r"unknown replay adversary keys: \['kind'\]"),
+    ])
+    def test_adversary_errors_name_the_target_key(self, entry, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**self.base(adversary=[entry]))
+
+    def test_type_hints_read_once_per_class(self):
+        # A cache miss is one get_type_hints call: one per class.
+        harness._type_hints.cache_clear()
+        adversary = [
+            {"action": "tamper", "target": "group_secret", "occurrence": 1,
+             "bit": 100},
+            {"action": "replay", "target": "seed_broadcast"},
+            {"action": "forge", "target": "pairwise_cipher", "receiver": 0}]
+        for _ in range(3):
+            run_scenario(ScenarioConfig(**self.base(adversary=adversary * 5)))
+        info = harness._type_hints.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError):
             load_latency_profile("pentium")
@@ -249,6 +279,53 @@ class TestHonestScenarios:
         assert report.data_frames == 15
         assert report.refresh_events == 3      # one rotation per 5 ticks
         assert report.converged["session"]
+
+
+def _closed_form(cfg: ScenarioConfig) -> dict:
+    _, latency = load_latency_profile(cfg.latency_profile)
+    return expected_phase_times(get_group(cfg.group), cfg.n_ecus, latency,
+                                BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits))
+
+
+_OP_LATENCY = st.fixed_dictionaries(
+    {op: st.integers(0, 5000) for op in ("eccdh", "hkdf", "aes", "hmac")})
+
+
+class TestPhaseTimeOracle:
+    """Honest runs report exactly the closed-form phase times."""
+
+    @pytest.mark.parametrize("bitrate", [125_000, 1_000_000, 8_000_000])
+    @pytest.mark.parametrize("profile", ["stm32", "w806", "uno"])
+    @pytest.mark.parametrize("group", ["toy23", "schnorr256"])
+    def test_presets(self, group, profile, bitrate):
+        for n in (1, 3):
+            cfg = ScenarioConfig(group=group, n_ecus=n, latency_profile=profile,
+                                 bitrate_bps=bitrate)
+            assert run_scenario(cfg).phase_times == _closed_form(cfg)
+
+    @staticmethod
+    def custom_profile(directory, secu: dict, ecu: dict) -> str:
+        path = directory / "profile.json"
+        path.write_text(json.dumps({"secu": secu, "ecu": ecu}))
+        return f"custom:{path}"
+
+    def test_single_unit_seed_reaches_only_the_secu(self, tmp_path):
+        # The ECU's seed receive charge would dominate, but at N=1 the only
+        # unit sends the seed, so the SECU's charge ends the session stage.
+        ecu = {"eccdh": 10, "hkdf": 900, "aes": 1, "hmac": 1}
+        profile = self.custom_profile(tmp_path, {**ecu, "hkdf": 5}, ecu)
+        cfg = ScenarioConfig(group="toy23", n_ecus=1, latency_profile=profile)
+        assert run_scenario(cfg).phase_times == _closed_form(cfg)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(1, 64), bitrate=st.integers(125_000, 8_000_000),
+           overhead=st.integers(0, 300), secu=_OP_LATENCY, ecu=_OP_LATENCY)
+    def test_random_profiles(self, tmp_path_factory, n, bitrate, overhead,
+                             secu, ecu):
+        profile = self.custom_profile(tmp_path_factory.mktemp("profile"), secu, ecu)
+        cfg = ScenarioConfig(group="toy23", n_ecus=n, latency_profile=profile,
+                             bitrate_bps=bitrate, frame_overhead_bits=overhead)
+        assert run_scenario(cfg).phase_times == _closed_form(cfg)
 
 
 def _with_first_entry(keyfile: dict, **fields) -> dict:
@@ -399,6 +476,23 @@ class TestAdversaryScenarios:
         report = run_scenario(cfg)
         assert [(r["node"], r["reason"]) for r in report.rejections] == \
             [("ecu0", "state"), ("ecu1", "state"), ("ecu2", "state")]
+
+    @pytest.mark.parametrize("entry", [
+        {"action": "tamper", "target": "seed_broadcast", "bit": 3},
+        {"action": "replay", "target": "seed_broadcast"},
+    ], ids=["tamper", "replay"])
+    def test_entry_order_does_not_decide_what_hits_a_forgery(self, tmp_path,
+                                                             entry):
+        # Forgeries are sent before phase 2, so occurrence 0 is the forged
+        # seed, whether its entry comes before or after this one.
+        forge = {"action": "forge", "target": "seed_broadcast"}
+        traces = []
+        for i, adversary in enumerate(([forge, entry], [entry, forge], [forge])):
+            path = tmp_path / f"trace{i}.csv"
+            run_scenario(ScenarioConfig(group="toy23", n_ecus=2, adversary=adversary),
+                         trace_path=str(path))
+            traces.append(path.read_text())
+        assert traces[0] == traces[1] != traces[2]
 
     def test_tampering_the_seed_sender_stalls_the_session_phase(self):
         cfg = ScenarioConfig(group="toy23", n_ecus=2, adversary=[
