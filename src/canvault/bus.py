@@ -63,8 +63,10 @@ class CanFdFrame:
     count toward the payload, which holds only the fragment header and a body
     chunk. ``origin`` records which node physically transmitted the frame
     (the adversary when it replays or forges), while ``sender`` is the claim
-    the protocol layer sees. The fragment fields are read from the payload's
-    header; data frames (``kind`` None) carry none and have no such fields.
+    the protocol layer sees. The fragment fields are the values
+    :func:`fragment` packs into the payload's header; a tamper flips only body
+    bytes, so they never go stale. Data frames (``kind`` None) carry no header
+    and leave them None.
     """
 
     can_id: int
@@ -74,10 +76,9 @@ class CanFdFrame:
     receiver: Optional[int]
     origin: int
     timestamp_us: int = -1      # start of transmission, set by the bus
-
-    msg_seq = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[0])
-    frag_index = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[1])
-    frag_total = property(lambda self: _FRAG_HEADER.unpack_from(self.payload)[2])
+    msg_seq: Optional[int] = None
+    frag_index: Optional[int] = None
+    frag_total: Optional[int] = None
 
 
 def fragment_count(body_len: int) -> int:
@@ -98,7 +99,8 @@ def fragment(msg: WireMessage, can_id: int, msg_seq: int,
         frames.append(CanFdFrame(
             can_id=can_id, payload=header + chunk, kind=msg.kind,
             sender=msg.sender, receiver=msg.receiver,
-            origin=msg.sender if origin is None else origin))
+            origin=msg.sender if origin is None else origin,
+            msg_seq=msg_seq, frag_index=idx, frag_total=total))
     return frames
 
 

@@ -11,9 +11,10 @@ All exponents are plain ints in ``[0, order)``. An element's format, its
 fixed-width bytes and its keyfile text, is known only here: other modules
 handle elements through :class:`Group`'s methods.
 
-Every group power is one call of :func:`_powmod`: ``BN_mod_exp`` of the
-libcrypto that CPython's ``ssl`` module links (a Montgomery exponentiation in
-C), or builtin ``pow`` when that library cannot be loaded.
+Every group power is one call of :func:`_powmod` (a single power) or of
+:func:`_powmod2` (a double power ``a^x b^y``): Montgomery exponentiations of
+the libcrypto that CPython's ``ssl`` module links (see ``_libcrypto``), or
+builtin ``pow`` when that library cannot be loaded.
 """
 
 from __future__ import annotations
@@ -21,74 +22,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from random import Random
+from typing import Optional
 
 from .errors import DecodeError
 
 __all__ = ["Group", "GroupElement", "get_group", "GROUP_NAMES"]
 
 
-def _powmod(base: int, e: int, m: int) -> int:
-    """base ** e mod m for e >= 0 and m > 0.
+def _resolve_backend() -> None:
+    """Bind :func:`_powmod` and :func:`_powmod2` to libcrypto's Montgomery
+    powers, or to builtin ``pow`` where that library cannot be loaded.
 
-    The first call resolves the backend for the process and rebinds this name
-    to it, so ``ctypes`` and libcrypto load on the first group power, never at
-    import or in :func:`get_group`.
+    The first group power calls this, so ``ctypes`` and libcrypto load then,
+    never at import or in :func:`get_group`.
     """
-    global _powmod
-    _powmod = _libcrypto_powmod() or pow
+    global _powmod, _powmod2
+    try:
+        from . import _libcrypto
+        _powmod, _powmod2 = _libcrypto.mod_exp, _libcrypto.mod_exp2
+    except (ImportError, OSError, AttributeError):
+        _powmod, _powmod2 = pow, _pow2
+
+
+def _powmod(base: int, e: int, m: int) -> int:
+    """base ** e mod m for e >= 0 and an odd prime m."""
+    _resolve_backend()
     return _powmod(base, e, m)
 
 
-def _libcrypto_powmod():
-    """libcrypto's ``BN_mod_exp`` as a function of ints, or None when the
-    libcrypto that CPython's ``_ssl`` links cannot be loaded.
+def _powmod2(a: int, x: int, b: int, y: int, m: int) -> int:
+    """a ** x * b ** y mod m for x, y >= 0 and an odd prime m."""
+    _resolve_backend()
+    return _powmod2(a, x, b, y, m)
 
-    ``_ssl`` has already mapped that library, so opening it by its soname
-    returns the same copy. Each call allocates its own BIGNUMs and
-    ``BN_CTX`` and frees them: ctypes releases the GIL during a foreign call,
-    so no C state is shared between threads.
-    """
-    try:
-        import _ssl
-        import ctypes
-        major, minor = _ssl.OPENSSL_VERSION_INFO[:2]
-        lib = ctypes.CDLL(f"libcrypto.so.{major}" if major >= 3
-                          else f"libcrypto.so.{major}.{minor}")
-        ptr, c_int = ctypes.c_void_p, ctypes.c_int
-        for name, restype, argtypes in (
-                ("BN_CTX_new", ptr, []),
-                ("BN_CTX_free", None, [ptr]),
-                ("BN_new", ptr, []),
-                ("BN_free", None, [ptr]),
-                ("BN_bin2bn", ptr, [ptr, c_int, ptr]),
-                ("BN_bn2binpad", c_int, [ptr, ptr, c_int]),
-                ("BN_mod_exp", c_int, [ptr, ptr, ptr, ptr, ptr])):
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (ImportError, OSError, AttributeError):
-        return None
 
-    def bn_mod_exp(base: int, e: int, m: int) -> int:
-        n = (m.bit_length() + 7) // 8
-        e_bytes = e.to_bytes((e.bit_length() + 7) // 8, "big")
-        out = ctypes.create_string_buffer(n)
-        ctx = lib.BN_CTX_new()
-        nums = [lib.BN_bin2bn((base % m).to_bytes(n, "big"), n, None),
-                lib.BN_bin2bn(e_bytes, len(e_bytes), None),
-                lib.BN_bin2bn(m.to_bytes(n, "big"), n, None),
-                lib.BN_new()]
-        try:
-            a, p, mod, r = nums
-            if not (ctx and all(nums) and lib.BN_mod_exp(r, a, p, mod, ctx)
-                    and lib.BN_bn2binpad(r, out, n) == n):
-                raise MemoryError("libcrypto BN_mod_exp failed")
-            return int.from_bytes(out.raw, "big")
-        finally:
-            for num in nums:
-                lib.BN_free(num)
-            lib.BN_CTX_free(ctx)
-
-    return bn_mod_exp
+def _pow2(a: int, x: int, b: int, y: int, m: int) -> int:
+    """:func:`_powmod2` on builtin ``pow``."""
+    return pow(a, x, m) * pow(b, y, m) % m
 
 
 @dataclass(frozen=True)
@@ -118,6 +88,12 @@ class Group:
         self.generator = GroupElement(generator % modulus)
         self.security_bits = order.bit_length() - 1
         self.element_len = (modulus.bit_length() + 7) // 8
+        # Powers split their exponent at bit _half (see _pow). _g_high is
+        # g^(2^_half), built on the generator's first split power; _last_high
+        # is (value, value^(2^_half)) for the last other base that split.
+        self._half = (order.bit_length() + 1) // 2
+        self._g_high: Optional[int] = None
+        self._last_high: tuple[Optional[int], int] = (None, 0)
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
 
@@ -130,8 +106,7 @@ class Group:
 
     def is_member(self, e: GroupElement) -> bool:
         """True iff ``e`` is a reduced member of the order-p subgroup."""
-        return 0 < e.value < self.modulus and \
-            _powmod(e.value, self.order, self.modulus) == 1
+        return 0 < e.value < self.modulus and self._pow(e.value, self.order) == 1
 
     def exp(self, base: GroupElement, e: int) -> GroupElement:
         """base ** e within the group.
@@ -147,7 +122,47 @@ class Group:
             e %= self.order
         elif e < 0:
             raise ValueError("exp takes exponents >= 0 for a base other than g")
-        return GroupElement(_powmod(base.value, e, self.modulus))
+        return GroupElement(self._pow(base.value, e))
+
+    def exp2(self, a: GroupElement, x: int, b: GroupElement, y: int) -> GroupElement:
+        """a ** x * b ** y within the group, in one pass.
+
+        Raises:
+            ValueError: ``x < 0`` or ``y < 0``.
+        """
+        if x < 0 or y < 0:
+            raise ValueError("exp2 takes exponents >= 0")
+        return GroupElement(_powmod2(a.value, x, b.value, y, self.modulus))
+
+    def _pow(self, value: int, e: int) -> int:
+        """value ** e mod modulus for ``e >= 0``.
+
+        An exponent of ``_half`` bits or fewer is one power. A longer one is
+        split at bit ``_half``, ``value**lo * (value**(2**_half))**hi``, and
+        taken as one double power of two half-length exponents, which costs
+        about two thirds of the single power; ``value**(2**_half)`` comes
+        from :meth:`_high`.
+        """
+        h = self._half
+        if e >> h == 0:
+            return _powmod(value, e, self.modulus)
+        return _powmod2(value, e & ((1 << h) - 1), self._high(value), e >> h,
+                        self.modulus)
+
+    def _high(self, value: int) -> int:
+        """value ** (2 ** _half) mod modulus: kept for the process for the
+        generator, and in a one-entry memo for any other base."""
+        if value == self.generator.value:
+            if self._g_high is None:
+                self._g_high = _powmod(value, 1 << self._half, self.modulus)
+            return self._g_high
+        # One read of the pair: a concurrent replacement costs a recompute,
+        # never a wrong result.
+        last, high = self._last_high
+        if last != value:
+            high = _powmod(value, 1 << self._half, self.modulus)
+            self._last_high = (value, high)
+        return high
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.value * b.value) % self.modulus)

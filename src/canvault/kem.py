@@ -93,7 +93,7 @@ def encapsulate(
     t = scalar_hash(c)
     shared = group.exp(u, r)
     # (u^t v)^r == (u^r)^t v^r for any u, v, and u^r is needed anyway.
-    binding = group.mul(group.exp(shared, t), group.exp(v, r))
+    binding = group.exp2(shared, t, v, r)
     key = primitives.hash_to_key(group, shared)
     return key, KemCiphertext(ephemeral=c, binding=binding)
 

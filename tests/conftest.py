@@ -7,8 +7,10 @@ import canvault.group
 
 @pytest.fixture(scope="class")
 def builtin_pow():
-    """Group powers on builtin ``pow``, the fallback of a host whose CPython
-    has no loadable libcrypto, so that path stays covered everywhere."""
+    """Group powers, single and double, on builtin ``pow``: the fallback of a
+    host whose CPython has no loadable libcrypto, so that path stays covered
+    everywhere."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canvault.group, "_powmod", pow)
+        mp.setattr(canvault.group, "_powmod2", canvault.group._pow2)
         yield

@@ -8,6 +8,7 @@ plus independent primality verification of its frozen constants.
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -18,11 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canvault.group
+from canvault import kem
 from canvault.errors import DecodeError
 from canvault.group import GROUP_NAMES, Group, GroupElement, get_group
 
 BIG_ORDER = get_group("schnorr256").order
 BIG_MODULUS = get_group("schnorr256").modulus
+# Powers with an exponent of at least 2^HALF are split into two halves.
+HALF = (BIG_ORDER.bit_length() + 1) // 2
 
 # Reduced scalars, and unreduced ones as a keyfile may hold them.
 exponents = (st.integers(min_value=0, max_value=2 ** 256)
@@ -79,6 +83,20 @@ class TestToyGroup:
         for g in (toy.generator, GroupElement(2)):
             for e in range(3 * toy.order):
                 assert toy.exp(g, e).value == pow(2, e, 23)
+
+    def test_exp2_matches_pow_exhaustively(self, toy):
+        # Bases 0 and m included: libcrypto's double power returns 0 for a
+        # base that is 0 mod m even when that base's exponent is 0.
+        m = toy.modulus
+        for a, b in product(range(m + 1), repeat=2):
+            for x, y in product(range(toy.order + 1), repeat=2):
+                assert toy.exp2(GroupElement(a), x, GroupElement(b), y).value \
+                    == pow(a, x, m) * pow(b, y, m) % m, (a, x, b, y)
+
+    def test_exp2_refuses_negative_exponents(self, toy):
+        for x, y in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                toy.exp2(toy.generator, x, GroupElement(3), y)
 
     def test_exp_refuses_negative_exponents(self, toy):
         with pytest.raises(ValueError):
@@ -213,6 +231,58 @@ class TestSchnorr256:
         for a in (2, m - 2, 0, 3, 1, m - 1):
             assert big.exp(GroupElement(a), e).value == pow(a, e, m)
 
+    @pytest.mark.parametrize("e", [2 ** HALF - 1, 2 ** HALF, 2 ** HALF + 1,
+                                   2 ** (2 * HALF), BIG_ORDER, 2 ** 600 + 1])
+    def test_exp_at_split_boundary(self, big, e):
+        assert HALF == 128
+        m = big.modulus
+        for a in (big.generator.value, 3, m - 1, 0, 1, m):
+            assert big.exp(GroupElement(a), e).value == pow(a, e, m), a
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=residues, x=exponents, b=residues, y=exponents)
+    @example(a=0, x=0, b=3, y=5)
+    @example(a=BIG_MODULUS, x=0, b=3, y=5)
+    @example(a=3, x=2 ** 255, b=0, y=1)
+    @example(a=2, x=BIG_ORDER, b=3, y=2 ** 600 + 1)
+    def test_exp2_matches_builtin_pow(self, big, a, x, b, y):
+        m = big.modulus
+        assert big.exp2(GroupElement(a), x, GroupElement(b), y).value \
+            == pow(a, x, m) * pow(b, y, m) % m
+
+    def test_interleaved_bases_and_groups_match_pow(self, big):
+        # Each split power reads or replaces the one-entry memo of b^(2^h):
+        # alternate bases, and the same value in two groups, must not mix.
+        toy, m = get_group("toy23"), big.modulus
+        rng = Random(15)
+        for _ in range(20):
+            a = rng.choice((3, 5, big.generator.value, m - 1))
+            e = rng.randrange(2 ** HALF, 2 ** 256)
+            assert big.exp(GroupElement(a), e).value == pow(a, e, m), (a, e)
+        for e in (2 ** HALF + 7, 2 ** 200 + 3):
+            assert toy.exp(GroupElement(3), e).value == pow(3, e, 23)
+            assert big.exp(GroupElement(3), e).value == pow(3, e, m)
+            assert toy.exp(GroupElement(3), e + 1).value == pow(3, e + 1, 23)
+
+    def test_threads_sharing_one_group_match_pow(self, big):
+        m = big.modulus
+        rng = Random(16)
+        work = [[(rng.choice((2, 3, 5, big.generator.value)),
+                  rng.randrange(2 ** HALF, 2 ** 160)) for _ in range(50)]
+                for _ in range(4)]
+        expected = [[pow(a, e, m) for a, e in powers] for powers in work]
+
+        def run(powers):
+            return [big.exp(GroupElement(a), e).value for a, e in powers]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(run, work, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_encode_decode_round_trip(self, big):
         rng = Random(13)
         for _ in range(20):
@@ -255,13 +325,18 @@ def test_unknown_group_name():
 
 
 class TestPowmodBackend:
-    """The backend that the first group power resolves (libcrypto's
-    ``BN_mod_exp`` where that library loads) against builtin ``pow``."""
+    """The single and double powers that the first group power resolves
+    (libcrypto's ``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` where that
+    library loads) against builtin ``pow``."""
 
     @pytest.fixture(scope="class")
     def powmod(self):
         get_group("toy23").exp(GroupElement(3), 2)
         return canvault.group._powmod
+
+    @pytest.fixture(scope="class")
+    def powmod2(self, powmod):
+        return canvault.group._powmod2
 
     @pytest.mark.parametrize("name", GROUP_NAMES)
     def test_edge_cases_match_builtin_pow(self, powmod, name):
@@ -279,6 +354,17 @@ class TestPowmodBackend:
         m = get_group(name).modulus
         assert powmod(base, e, m) == pow(base, e, m)
 
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_exp2_edge_cases_match_builtin_pow(self, powmod2, name):
+        grp = get_group(name)
+        m, q = grp.modulus, grp.order
+        bases, exps = [0, 1, 3, m - 1, m, 2 ** 2048 - 1], [0, 1, q, 2 ** 600 + 1]
+        single = {(a, x): pow(a, x, m) for a, x in product(bases, exps)}
+        for (a, x), (b, y) in product(single, repeat=2):
+            assert powmod2(a, x, b, y, m) == single[a, x] * single[b, y] % m, \
+                (a, x, b, y)
+        assert powmod2(0, 0, 3, 5, m) == powmod2(m, 0, 3, 5, m) == pow(3, 5, m)
+
 
 def test_backend_loads_on_first_power_not_at_import():
     # Importing canvault and building a group (setup_s in perfbench) must not
@@ -288,3 +374,55 @@ def test_backend_loads_on_first_power_not_at_import():
             "get_group('schnorr256'); sys.exit('ctypes' in sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.fixture
+def libcrypto_tripwire(monkeypatch):
+    """Replace the loaded libcrypto with an object that records and refuses
+    every function lookup; yields the list of names looked up."""
+    get_group("toy23").exp(GroupElement(3), 2)      # resolve the backend first
+    try:
+        from canvault import _libcrypto
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("libcrypto cannot be loaded on this host")
+    calls = []
+
+    class Tripwire:
+        def __getattr__(self, name):
+            calls.append(name)
+            raise AssertionError(f"libcrypto {name} called")
+
+    monkeypatch.setattr(_libcrypto, "lib", Tripwire())
+    yield calls
+
+
+def every_kind_of_power():
+    """Single, split and double powers on both groups, and one honest
+    schnorr256 keying round trip."""
+    for grp in map(get_group, GROUP_NAMES):
+        three = GroupElement(3)
+        grp.exp(three, 2)
+        grp.exp(three, 2 ** 600 + 1)
+        grp.exp(grp.generator, grp.order - 1)
+        grp.is_member(three)
+        grp.exp2(three, 5, grp.generator, 2 ** 300)
+    big = get_group("schnorr256")
+    rng = Random(17)
+    kp = kem.keygen(big, 0, rng)
+    key, ct = kem.encapsulate(big, kp.public, rng)
+    assert kem.open_ciphertext(big, kp, kem.encode_ciphertext(big, ct)) == key
+
+
+@pytest.mark.usefixtures("builtin_pow")
+class TestBuiltinPowFixture:
+    def test_no_libcrypto_call_under_the_fixture(self, libcrypto_tripwire):
+        every_kind_of_power()
+        assert libcrypto_tripwire == []
+
+
+def test_tripwire_sees_libcrypto_calls(libcrypto_tripwire):
+    # Without the fixture the same powers reach libcrypto, so the test
+    # above would see a call that slipped past the fixture.
+    with pytest.raises(AssertionError, match="libcrypto"):
+        every_kind_of_power()
+    assert libcrypto_tripwire

@@ -5,9 +5,10 @@ from random import Random
 
 import pytest
 
+import canvault.group
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError
-from canvault.group import GroupElement, get_group
+from canvault.group import Group, GroupElement, get_group
 
 
 class ScriptedRng:
@@ -136,6 +137,37 @@ class TestProductionGroup:
         kp = kem.keygen(big, 3, rng)
         assert big.exp(big.generator, kp.key_exp) == kp.pub_key
         assert big.exp(big.generator, kp.bind_exp) == kp.pub_bind
+
+
+def test_backend_calls_per_unit_on_schnorr256(big, monkeypatch):
+    """The per-unit power budget, in backend calls. A fresh group builds
+    g^(2^h) once, then every generator power is one double power (split at
+    bit h). Encapsulation builds u^(2^h) for K = u^r and takes the binding
+    K^t v^r as one double power; receipt builds c^(2^h) once, then c^order,
+    c^(xt+y) and c^x are one double power each."""
+    grp = Group("schnorr256", modulus=big.modulus, order=big.order,
+                generator=big.generator.value)
+    grp.exp(GroupElement(3), 2)                     # resolve the backend
+    calls = []
+    for name in ("_powmod", "_powmod2"):
+        fn = getattr(canvault.group, name)
+        monkeypatch.setattr(canvault.group, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rng = Random(102)
+
+    def counted(step):
+        calls.clear()
+        out = step()
+        return out, ["exp2" if c == "_powmod2" else "exp" for c in calls]
+
+    kp, used = counted(lambda: kem.keygen(grp, 0, rng))
+    assert used == ["exp", "exp2", "exp2"]
+    (key, ct), used = counted(lambda: kem.encapsulate(grp, kp.public, rng))
+    assert used == ["exp2", "exp", "exp2", "exp2"]
+    body = kem.encode_ciphertext(grp, ct)
+    out, used = counted(lambda: kem.open_ciphertext(grp, kp, body))
+    assert used == ["exp", "exp2", "exp2", "exp2"]
+    assert out == key
 
 
 class TestExponentHashCollisions:
