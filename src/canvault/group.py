@@ -19,7 +19,7 @@ builtin ``pow`` when that library cannot be loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from random import Random
 from typing import Optional
@@ -64,9 +64,12 @@ def _pow2(a: int, x: int, b: int, y: int, m: int) -> int:
 @dataclass(frozen=True)
 class GroupElement:
     """Reduced residue of a Group's modulus; :meth:`Group.decode_element`
-    returns only subgroup members."""
+    returns only subgroup members, each carrying ``high``, its
+    ``value ** (2 ** h)`` (see :meth:`Group._pow`). Equality, hashing and
+    ``repr`` read only ``value``."""
 
     value: int
+    high: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 class Group:
@@ -89,11 +92,9 @@ class Group:
         self.security_bits = order.bit_length() - 1
         self.element_len = (modulus.bit_length() + 7) // 8
         # Powers split their exponent at bit _half (see _pow). _g_high is
-        # g^(2^_half), built on the generator's first split power; _last_high
-        # is (value, value^(2^_half)) for the last other base that split.
+        # g^(2^_half), built on the generator's first split power.
         self._half = (order.bit_length() + 1) // 2
         self._g_high: Optional[int] = None
-        self._last_high: tuple[Optional[int], int] = (None, 0)
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
 
@@ -106,7 +107,7 @@ class Group:
 
     def is_member(self, e: GroupElement) -> bool:
         """True iff ``e`` is a reduced member of the order-p subgroup."""
-        return 0 < e.value < self.modulus and self._pow(e.value, self.order) == 1
+        return 0 < e.value < self.modulus and self._pow(e, self.order) == 1
 
     def exp(self, base: GroupElement, e: int) -> GroupElement:
         """base ** e within the group.
@@ -122,7 +123,7 @@ class Group:
             e %= self.order
         elif e < 0:
             raise ValueError("exp takes exponents >= 0 for a base other than g")
-        return GroupElement(self._pow(base.value, e))
+        return GroupElement(self._pow(base, e))
 
     def exp2(self, a: GroupElement, x: int, b: GroupElement, y: int) -> GroupElement:
         """a ** x * b ** y within the group, in one pass.
@@ -134,35 +135,26 @@ class Group:
             raise ValueError("exp2 takes exponents >= 0")
         return GroupElement(_powmod2(a.value, x, b.value, y, self.modulus))
 
-    def _pow(self, value: int, e: int) -> int:
-        """value ** e mod modulus for ``e >= 0``.
+    def _pow(self, base: GroupElement, e: int) -> int:
+        """base ** e mod modulus for ``e >= 0``.
 
-        An exponent of ``_half`` bits or fewer is one power. A longer one is
-        split at bit ``_half``, ``value**lo * (value**(2**_half))**hi``, and
-        taken as one double power of two half-length exponents, which costs
-        about two thirds of the single power; ``value**(2**_half)`` comes
-        from :meth:`_high`.
+        Where ``base ** (2 ** _half)`` is known (kept for the generator,
+        carried by a decoded element), an exponent of more than ``_half``
+        bits is split there and taken as one double power of two half-length
+        exponents, about two thirds of the cost of a single power.
         """
         h = self._half
-        if e >> h == 0:
-            return _powmod(value, e, self.modulus)
-        return _powmod2(value, e & ((1 << h) - 1), self._high(value), e >> h,
-                        self.modulus)
-
-    def _high(self, value: int) -> int:
-        """value ** (2 ** _half) mod modulus: kept for the process for the
-        generator, and in a one-entry memo for any other base."""
-        if value == self.generator.value:
-            if self._g_high is None:
-                self._g_high = _powmod(value, 1 << self._half, self.modulus)
-            return self._g_high
-        # One read of the pair: a concurrent replacement costs a recompute,
-        # never a wrong result.
-        last, high = self._last_high
-        if last != value:
-            high = _powmod(value, 1 << self._half, self.modulus)
-            self._last_high = (value, high)
-        return high
+        if e >> h:
+            if base.value == self.generator.value:
+                if self._g_high is None:
+                    self._g_high = _powmod(base.value, 1 << h, self.modulus)
+                high = self._g_high
+            else:
+                high = base.high
+            if high is not None:
+                return _powmod2(base.value, e & ((1 << h) - 1), high, e >> h,
+                                self.modulus)
+        return _powmod(base.value, e, self.modulus)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.value * b.value) % self.modulus)
@@ -178,12 +170,16 @@ class Group:
     def decode_element(self, data: bytes) -> GroupElement:
         """Inverse of :meth:`encode_element`; rejects non-members.
 
+        The element carries ``value ** (2 ** _half)`` for its membership
+        check and its later powers.
+
         Raises:
             DecodeError: wrong length, or the value is not a subgroup member.
         """
-        e = self._from_bytes(data)
+        value = self.decode_residue(data).value
+        e = GroupElement(value, _powmod(value, 1 << self._half, self.modulus))
         if not self.is_member(e):
-            raise DecodeError(f"{e.value} is not in the order-{self.order} subgroup")
+            raise DecodeError(f"{value} is not in the order-{self.order} subgroup")
         return e
 
     def decode_residue(self, data: bytes) -> GroupElement:
@@ -197,16 +193,13 @@ class Group:
         Raises:
             DecodeError: wrong length, or the value is outside [1, modulus).
         """
-        e = self._from_bytes(data)
-        if not 0 < e.value < self.modulus:
-            raise DecodeError(f"{e.value} is not a residue mod the modulus")
-        return e
-
-    def _from_bytes(self, data: bytes) -> GroupElement:
         if len(data) != self.element_len:
             raise DecodeError(
                 f"element encoding must be {self.element_len} bytes, got {len(data)}")
-        return GroupElement(int.from_bytes(data, "big"))
+        value = int.from_bytes(data, "big")
+        if not 0 < value < self.modulus:
+            raise DecodeError(f"{value} is not a residue mod the modulus")
+        return GroupElement(value)
 
     def element_hex(self, e: GroupElement) -> str:
         """Keyfile text form: lower-case hex, no prefix, no leading zeros."""

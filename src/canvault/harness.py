@@ -27,7 +27,7 @@ from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
-    MsgKind, Secu, WireMessage, body_length
+    MsgKind, Secu, WireMessage, body_length, session_chain_key
 
 
 class Scheme(enum.Enum):
@@ -497,6 +497,14 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     report.converged = {"pairwise": pairwise_ok, "group_secret": group_ok,
                         "session": session_ok}
     report.partially_keyed = not (pairwise_ok and group_ok and session_ok)
+    # Units holding a key the SECU did not issue; an unkeyed unit (denial of
+    # service) is not one of them.
+    chain_key = None if secu.group_secret is None else \
+        session_chain_key(secu.group_secret)
+    foreign = [f"ecu{e.ecu_id}" for e in ecus
+               if e.pairwise not in (None, secu.pairwise.get(e.ecu_id))
+               or e.group_secret not in (None, secu.group_secret)
+               or e.session is not None and e.session.chain_key != chain_key]
 
     report.expected_messages = expected_messages(Scheme.OURS, cfg.n_ecus)
     # A tamper flips bits and adds no frames; forgeries and replay copies
@@ -506,8 +514,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     checks = {
         "message_count": net.logical_messages == report.expected_messages,
         "frame_accounting": honest_frames == _honest_frame_count(group, cfg.n_ecus),
-        "convergence": not report.partially_keyed or (
-            bool(cfg.adversary) and len(net.rejections) > 0),
+        "convergence": not foreign,
     }
     report.checks = checks
     report.comparison = comparison_table([cfg.n_ecus])
@@ -519,10 +526,13 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
 
     if trace_path is not None:
         net.write_trace_csv(trace_path)
+    held = f"; keys the SECU did not issue held by {', '.join(foreign)}" \
+        if foreign else ""
     if stalled:
         raise DeadlockError(f"seed sender ecu{sender_id} holds no group secret; "
-                            "the session phase could not start", report=report)
+                            f"the session phase could not start{held}",
+                            report=report)
     if not all(checks.values()):
         failed = sorted(name for name, ok in checks.items() if not ok)
-        raise RunCheckError(f"run checks failed: {failed}", report=report)
+        raise RunCheckError(f"run checks failed: {failed}{held}", report=report)
     return report

@@ -128,8 +128,7 @@ def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:
     ``c`` is tested for membership (the small-subgroup defence) and the
     binding only for range before the consistency check. A member ``c`` has a
     member ``c^(xt+y)``, so a non-member binding can never pass it; the
-    binding's membership is read only on a refusal, from
-    :func:`decode_ciphertext`.
+    binding's membership is read only on a refusal.
 
     Raises:
         DecodeError: wrong length, or either element is not a subgroup member.
@@ -146,7 +145,8 @@ def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:
     try:
         return decapsulate(group, keypair, ct)
     except ConsistencyError:
-        decode_ciphertext(group, body)      # a non-member binding is a decode failure
+        if not group.is_member(ct.binding):
+            raise DecodeError("binding is not a subgroup member") from None
         raise
 
 

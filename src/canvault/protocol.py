@@ -125,6 +125,11 @@ def _session_keys(group_secret: bytes) -> tuple[bytes, bytes]:
     return primitives.hkdf_split(group_secret, _SPLIT_SESSION_INFO)
 
 
+def session_chain_key(group_secret: bytes) -> bytes:
+    """The chain key that every session keyed under ``group_secret`` holds."""
+    return _session_keys(group_secret)[0]
+
+
 def _first_round(seed: bytes, chain_key: bytes, mac_key: bytes) -> SessionState:
     """Round-0 session state keyed from a broadcast seed."""
     key = primitives.hkdf_session(seed, 0, chain_key)

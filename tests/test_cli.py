@@ -85,6 +85,18 @@ class TestRunCommand:
             report["rejections"][0].items()
         assert "session" not in report["phase_times"]
 
+    def test_unit_keyed_by_a_forgery_exits_3(self, tmp_path):
+        # ecu0 accepts a late forged ciphertext that passes toy23's binding
+        # check, so it holds a pairwise secret the SECU never issued.
+        cfg = write_config(tmp_path / "cfg.json", rng_seed=18, phase4_sender=1,
+                           adversary=[{"action": "forge", "target": "pairwise_cipher",
+                                       "receiver": 0, "at_us": 60000}])
+        res = run_cli("run", str(cfg), cwd=tmp_path)
+        assert res.returncode == 3
+        assert "did not issue held by ecu0" in res.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"]["convergence"] is False
+
     def test_unwritable_report_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         res = run_cli("run", str(cfg), "-o", "missing/report.json", cwd=tmp_path)

@@ -152,6 +152,20 @@ class TestToyGroup:
                 with pytest.raises(DecodeError):
                     toy.decode_element(data)
 
+    def test_decoded_element_is_its_value(self, toy):
+        # A decoded element carries value^(2^h), h = 2 here: equality,
+        # hashing and repr ignore it, and its powers, split or not, are the
+        # value's. A residue decoded only for range carries none.
+        for e in toy.elements():
+            data = toy.encode_element(e)
+            decoded = toy.decode_element(data)
+            assert decoded.high == pow(e.value, 4, 23)
+            assert toy.decode_residue(data).high is None
+            assert decoded == e and hash(decoded) == hash(e)
+            assert repr(decoded) == repr(e)
+            for k in range(4 * toy.order):
+                assert toy.exp(decoded, k).value == pow(e.value, k, 23)
+
     def test_decode_rejects_wrong_length(self, toy):
         with pytest.raises(DecodeError):
             toy.decode_element(b"")
@@ -239,6 +253,17 @@ class TestSchnorr256:
         for a in (big.generator.value, 3, m - 1, 0, 1, m):
             assert big.exp(GroupElement(a), e).value == pow(a, e, m), a
 
+    def test_decoded_element_powers_at_split_boundary(self, big):
+        m = big.modulus
+        for e in (big.generator, big.identity, big.exp(big.generator, 2 ** 200 + 9)):
+            decoded = big.decode_element(big.encode_element(e))
+            assert decoded == GroupElement(e.value)
+            assert hash(decoded) == hash(GroupElement(e.value))
+            assert decoded.high == pow(e.value, 2 ** HALF, m)
+            for k in (2 ** HALF - 1, 2 ** HALF, 2 ** HALF + 1, 2 ** (2 * HALF),
+                      BIG_ORDER, 2 ** 600 + 1):
+                assert big.exp(decoded, k).value == pow(e.value, k, m), (e, k)
+
     @settings(max_examples=40, deadline=None)
     @given(a=residues, x=exponents, b=residues, y=exponents)
     @example(a=0, x=0, b=3, y=5)
@@ -251,14 +276,18 @@ class TestSchnorr256:
             == pow(a, x, m) * pow(b, y, m) % m
 
     def test_interleaved_bases_and_groups_match_pow(self, big):
-        # Each split power reads or replaces the one-entry memo of b^(2^h):
-        # alternate bases, and the same value in two groups, must not mix.
+        # Plain bases, decoded ones carrying b^(2^h) and the generator, whose
+        # g^(2^h) the group keeps, alternate; the same value in two groups
+        # must not mix.
         toy, m = get_group("toy23"), big.modulus
+        decoded = [big.decode_element(big.encode_element(big.exp(big.generator, k)))
+                   for k in (3, 2 ** 255 + 1)]
         rng = Random(15)
         for _ in range(20):
-            a = rng.choice((3, 5, big.generator.value, m - 1))
+            a = rng.choice((GroupElement(3), GroupElement(m - 1), big.generator,
+                            *decoded))
             e = rng.randrange(2 ** HALF, 2 ** 256)
-            assert big.exp(GroupElement(a), e).value == pow(a, e, m), (a, e)
+            assert big.exp(a, e).value == pow(a.value, e, m), (a, e)
         for e in (2 ** HALF + 7, 2 ** 200 + 3):
             assert toy.exp(GroupElement(3), e).value == pow(3, e, 23)
             assert big.exp(GroupElement(3), e).value == pow(3, e, m)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvault import harness, kem
@@ -19,6 +19,7 @@ from canvault.harness import (ScenarioConfig, Scheme, affine_fit,
                               computation_tally_us, expected_messages,
                               expected_phase_times, load_latency_profile,
                               run_scenario, write_keyfile)
+from canvault.protocol import MsgKind, body_length
 
 
 class TestMessageFormulas:
@@ -502,6 +503,12 @@ class TestAdversaryScenarios:
             run_scenario(cfg)
 
 
+# ecu0 ends up holding a pairwise secret that the SECU never issued.
+FOREIGN_KEYED = {"group": "toy23", "n_ecus": 2, "rng_seed": 18, "phase4_sender": 1,
+                 "adversary": [{"action": "forge", "target": "pairwise_cipher",
+                                "receiver": 0, "at_us": 60000}]}
+
+
 class TestRunChecks:
     def test_check_failure_raises_with_report_attached(self, monkeypatch):
         monkeypatch.setattr(harness, "expected_messages",
@@ -510,6 +517,19 @@ class TestRunChecks:
             run_scenario(ScenarioConfig(group="toy23", n_ecus=2))
         assert err.value.report is not None
         assert not err.value.report.checks["message_count"]
+
+    def test_unit_keyed_by_a_forgery_fails_convergence(self):
+        # The forged ciphertext reaches ecu0 after the pairwise phase, passes
+        # toy23's binding check and replaces the secret the SECU issued. A
+        # rejection elsewhere in the run does not excuse that.
+        cfg = ScenarioConfig.from_dict(FOREIGN_KEYED)
+        with pytest.raises(RunCheckError, match=r"did not issue held by ecu0$") \
+                as err:
+            run_scenario(cfg)
+        report = err.value.report
+        assert report.checks == {"message_count": True,
+                                 "frame_accounting": True, "convergence": False}
+        assert report.rejections
 
     def test_frame_accounting_is_exact_under_attack(self, monkeypatch):
         # Forged frames are not the protocol's: the honest count must still
@@ -525,3 +545,60 @@ class TestRunChecks:
         assert report.checks == {"message_count": True,
                                  "frame_accounting": False, "convergence": True}
         assert report.frames == real(get_group("toy23"), 2) + 2
+
+
+_TIMES = st.sampled_from([0, 500, 20_000, 60_000, 100_000])
+_TARGETS = st.sampled_from([kind.value for kind in MsgKind])
+_REASONS = {"decode", "consistency", "mac", "replay", "state"}
+
+
+@st.composite
+def hostile_toy_configs(draw):
+    """toy23 runs of 1-5 units under 1-4 tamper, replay and forge entries,
+    timed across every phase; a short counter makes ``post_ticks`` rotate."""
+    n = draw(st.integers(1, 5))
+    adversary = []
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(["tamper", "replay", "forge"]))
+        target = draw(_TARGETS)
+        entry = {"action": action, "target": target}
+        if action == "tamper":
+            bits = 8 * body_length(get_group("toy23"), MsgKind(target))
+            entry.update(bit=draw(st.integers(0, bits - 1)),
+                         occurrence=draw(st.integers(0, n)))
+        elif action == "replay":
+            entry.update(occurrence=draw(st.integers(0, n)), delay_us=draw(_TIMES))
+        else:
+            entry["at_us"] = draw(_TIMES)
+            receiver = draw(st.none() | st.integers(0, n - 1))
+            if receiver is not None:
+                entry["receiver"] = receiver
+        adversary.append(entry)
+    return ScenarioConfig(group="toy23", n_ecus=n, rng_seed=draw(st.integers(0, 99)),
+                          post_ticks=draw(st.sampled_from([0, 0, 40])),
+                          ctr_max=7, adversary=adversary)
+
+
+def _run(cfg: ScenarioConfig):
+    """(report bytes, the run-check error or None) of one run."""
+    try:
+        return run_scenario(cfg).to_json(), None
+    except RunCheckError as exc:
+        assert exc.report is not None
+        return exc.report.to_json(), exc
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(cfg=hostile_toy_configs())
+@example(cfg=ScenarioConfig.from_dict(FOREIGN_KEYED))
+def test_adversary_schedules_keep_the_run_invariants(cfg):
+    report_json, error = _run(cfg)
+    again_json, again = _run(cfg)
+    assert again_json == report_json and str(again) == str(error)
+    report = json.loads(report_json)
+    assert {r["reason"] for r in report["rejections"]} <= _REASONS
+    if not isinstance(error, DeadlockError):
+        assert report["logical_messages"] == 2 * cfg.n_ecus + 1
+        assert report["checks"]["frame_accounting"]
+    if not report["checks"]["convergence"]:
+        assert "did not issue held by ecu" in str(error)

@@ -1,6 +1,7 @@
 """KEM tests: a fully forced toy trace, exhaustive toy sweeps against a
 modular-arithmetic oracle, and randomized production-group trials."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -105,6 +106,25 @@ class TestToyExhaustive:
                             with pytest.raises(ConsistencyError):
                                 kem.decapsulate(toy, kp, ct)
 
+    def test_open_ciphertext_matches_decode_then_decapsulate(self, toy):
+        """Every pair of one-byte halves, members or not, gets the same key
+        or the same refusal from :func:`kem.open_ciphertext` as from
+        :func:`kem.decode_ciphertext` followed by :func:`kem.decapsulate`."""
+        def outcome(step):
+            try:
+                return step()
+            except (DecodeError, ConsistencyError) as exc:
+                return type(exc)
+
+        halves = [*range(25), 255]
+        for x, y in [(1, 1), (3, 5), (10, 2), (7, 9)]:
+            kp = kem.keygen(toy, 0, ScriptedRng([x, y]))
+            for c, binding in product(halves, repeat=2):
+                body = bytes([c, binding])
+                assert outcome(lambda: kem.open_ciphertext(toy, kp, body)) == \
+                    outcome(lambda: kem.decapsulate(
+                        toy, kp, kem.decode_ciphertext(toy, body))), (x, y, body)
+
     def test_every_binding_perturbation_rejected(self, toy):
         kp = kem.keygen(toy, 0, ScriptedRng([3, 5]))
         _, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
@@ -139,12 +159,10 @@ class TestProductionGroup:
         assert big.exp(big.generator, kp.bind_exp) == kp.pub_bind
 
 
-def test_backend_calls_per_unit_on_schnorr256(big, monkeypatch):
-    """The per-unit power budget, in backend calls. A fresh group builds
-    g^(2^h) once, then every generator power is one double power (split at
-    bit h). Encapsulation builds u^(2^h) for K = u^r and takes the binding
-    K^t v^r as one double power; receipt builds c^(2^h) once, then c^order,
-    c^(xt+y) and c^x are one double power each."""
+@pytest.fixture
+def counted(big, monkeypatch):
+    """A fresh schnorr256 group, and a function that returns the backend
+    powers ("exp" or "exp2") made since its last call."""
     grp = Group("schnorr256", modulus=big.modulus, order=big.order,
                 generator=big.generator.value)
     grp.exp(GroupElement(3), 2)                     # resolve the backend
@@ -153,21 +171,50 @@ def test_backend_calls_per_unit_on_schnorr256(big, monkeypatch):
         fn = getattr(canvault.group, name)
         monkeypatch.setattr(canvault.group, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    rng = Random(102)
 
-    def counted(step):
+    def used():
+        out = ["exp2" if c == "_powmod2" else "exp" for c in calls]
         calls.clear()
-        out = step()
-        return out, ["exp2" if c == "_powmod2" else "exp" for c in calls]
+        return out
 
-    kp, used = counted(lambda: kem.keygen(grp, 0, rng))
-    assert used == ["exp", "exp2", "exp2"]
-    (key, ct), used = counted(lambda: kem.encapsulate(grp, kp.public, rng))
-    assert used == ["exp2", "exp", "exp2", "exp2"]
-    body = kem.encode_ciphertext(grp, ct)
-    out, used = counted(lambda: kem.open_ciphertext(grp, kp, body))
-    assert used == ["exp", "exp2", "exp2", "exp2"]
-    assert out == key
+    used()
+    return grp, used
+
+
+def test_backend_calls_per_unit_on_schnorr256(counted):
+    """The per-unit power budget, in backend calls. A fresh group builds
+    g^(2^h) once, then every generator power is one double power (split at
+    bit h). Encapsulation takes K = u^r, whose base is used once, as one
+    single power, and the binding K^t v^r as one double power. Receipt
+    decodes c with c^(2^h) attached, so c^order, c^(xt+y) and c^x are one
+    double power each."""
+    grp, used = counted
+    rng = Random(102)
+    kp = kem.keygen(grp, 0, rng)
+    assert used() == ["exp", "exp2", "exp2"]
+    key, ct = kem.encapsulate(grp, kp.public, rng)
+    assert used() == ["exp2", "exp", "exp2"]
+    assert kem.open_ciphertext(grp, kp, kem.encode_ciphertext(grp, ct)) == key
+    assert used() == ["exp", "exp2", "exp2", "exp2"]
+
+
+@pytest.mark.parametrize("binding, error", [
+    (lambda grp: grp.exp(grp.generator, 5), ConsistencyError),
+    (lambda grp: GroupElement(grp.modulus - 1), DecodeError),
+], ids=["member", "non-member"])
+def test_backend_calls_per_refused_binding(counted, binding, error):
+    """A binding that fails the check costs the decode of c and c^(xt+y),
+    then one single power for the binding's membership, which gives the
+    reason: no c^x, and no second decode of c."""
+    grp, used = counted
+    rng = Random(103)
+    kp = kem.keygen(grp, 0, rng)
+    _, ct = kem.encapsulate(grp, kp.public, rng)
+    body = grp.encode_element(ct.ephemeral) + grp.encode_element(binding(grp))
+    used()
+    with pytest.raises(error):
+        kem.open_ciphertext(grp, kp, body)
+    assert used() == ["exp", "exp2", "exp2", "exp"]
 
 
 class TestExponentHashCollisions:
