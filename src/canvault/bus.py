@@ -7,8 +7,9 @@ Models the pieces of the bus that matter for protocol accounting:
 * ID-based arbitration: when several frames wait for the bus, the lowest
   CAN id transmits first, ties broken by the order they became ready,
 * transmission time from a configurable bitrate and flat per-frame overhead,
-* per-node compute latency charged per cryptographic operation, so phase
-  durations reflect the configured hardware class,
+* per-node compute latency charged per cryptographic operation, as the
+  protocol lists them per message kind and rotation, so phase durations
+  reflect the configured hardware class,
 * an adversary that can tamper frames in flight, replay captured messages,
   and forge new ones.
 
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import ConfigError
-from .protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
+from .protocol import (MESSAGE_OPS, ROTATION_OPS, SECU_ID, Disposition, Ecu,
+                       MsgKind, Secu, WireMessage)
 
 _FRAG_HEADER = struct.Struct(">HBB")     # msg_seq, frag_index, frag_total
 FRAG_HEADER_LEN = _FRAG_HEADER.size
@@ -140,21 +142,6 @@ LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
     "w806": {"secu": dict(_W806), "ecu": dict(_W806)},
     "uno": {"secu": dict(_UNO), "ecu": dict(_UNO)},
 }
-
-# Operations charged per message, by kind and direction. The sender of the
-# group secret derives keys, encrypts and MACs; its receiver derives keys,
-# verifies and decrypts; and so on. Charged once per message handled.
-SEND_CHARGES = {
-    MsgKind.PAIRWISE_CIPHER: ("eccdh",),
-    MsgKind.GROUP_SECRET: ("hkdf", "aes", "hmac"),
-    MsgKind.SEED_BROADCAST: ("hkdf", "hkdf", "hmac"),
-}
-RECV_CHARGES = {
-    MsgKind.PAIRWISE_CIPHER: ("eccdh",),
-    MsgKind.GROUP_SECRET: ("hkdf", "hmac", "aes"),
-    MsgKind.SEED_BROADCAST: ("hkdf", "hmac", "hkdf"),
-}
-REFRESH_CHARGE = ("hkdf",)
 
 
 @dataclass
@@ -300,13 +287,13 @@ class Network:
                                msgs: list[WireMessage]) -> None:
         """Queue messages from one node, charging its compute serially.
 
-        Each message's send-side operations run before it is offered to the
-        bus, one message after another, mirroring a single-core node working
-        through its loop.
+        Each message's operations run before it is offered to the bus, one
+        message after another, mirroring a single-core node working through
+        its loop.
         """
         node = self._nodes[sender_id]
         for msg in msgs:
-            t = self._work(node, SEND_CHARGES[msg.kind])
+            t = self._work(node, MESSAGE_OPS[msg.kind])
             self._send_message(node.node_id, node.can_id, msg, t)
 
     def schedule_data_frame(self, sender_id: int) -> None:
@@ -403,7 +390,7 @@ class Network:
         if not isinstance(machine, Ecu) or machine.session is None:
             return
         if machine.tick_counter():
-            self._work(node, REFRESH_CHARGE)
+            self._work(node, ROTATION_OPS)
 
     def _dispatch(self, node: _Node, msg: WireMessage) -> None:
         # State commits in delivery order; busy_until only accounts for the
@@ -412,7 +399,7 @@ class Network:
         outcome = node.machine.handle(msg)
         if outcome.disposition is Disposition.IGNORED:
             return
-        finish = self._work(node, RECV_CHARGES[msg.kind])
+        finish = self._work(node, MESSAGE_OPS[msg.kind])
         if outcome.rejected:
             self.rejections.append({
                 "time_us": finish, "node": node.label,

@@ -49,6 +49,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=seed)
     # Outputs are checked before the run, so a refused run writes nothing.
+    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise ConfigError(f"--trace and -o both name {args.out}")
     for path in filter(None, (args.out, args.trace)):
         target = path if os.path.exists(path) else os.path.dirname(path) or "."
         if os.path.isdir(path) or not os.access(target, os.W_OK):

@@ -20,7 +20,7 @@ builtin ``pow`` when that library cannot be loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from random import Random
 from typing import Optional
 
@@ -65,8 +65,9 @@ def _pow2(a: int, x: int, b: int, y: int, m: int) -> int:
 class GroupElement:
     """Reduced residue of a Group's modulus; :meth:`Group.decode_element`
     returns only subgroup members, each carrying ``high``, its
-    ``value ** (2 ** h)`` (see :meth:`Group._pow`). Equality, hashing and
-    ``repr`` read only ``value``."""
+    ``value ** (2 ** h)`` (see :meth:`Group._pow`), and so does
+    :attr:`Group.generator`. Equality, hashing and ``repr`` read only
+    ``value``."""
 
     value: int
     high: Optional[int] = field(default=None, compare=False, repr=False)
@@ -88,18 +89,21 @@ class Group:
         self.name = name
         self.modulus = modulus
         self.order = order
-        self.generator = GroupElement(generator % modulus)
         self.security_bits = order.bit_length() - 1
         self.element_len = (modulus.bit_length() + 7) // 8
-        # Powers split their exponent at bit _half (see _pow). _g_high is
-        # g^(2^_half), built on the generator's first split power.
-        self._half = (order.bit_length() + 1) // 2
-        self._g_high: Optional[int] = None
+        self._g = generator % modulus
+        self._half = (order.bit_length() + 1) // 2     # split point, see _pow
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, {self.modulus.bit_length()}-bit modulus)"
+
+    @cached_property
+    def generator(self) -> GroupElement:
+        """The generator, carrying its ``g ** (2 ** _half)`` like a decoded
+        element; that power is taken on first use, never in the constructor."""
+        return GroupElement(self._g, _powmod(self._g, 1 << self._half, self.modulus))
 
     @property
     def identity(self) -> GroupElement:
@@ -119,7 +123,7 @@ class Group:
         Raises:
             ValueError: ``e < 0`` and ``base`` is not the generator.
         """
-        if base.value == self.generator.value:
+        if base.value == self._g:
             e %= self.order
         elif e < 0:
             raise ValueError("exp takes exponents >= 0 for a base other than g")
@@ -138,22 +142,15 @@ class Group:
     def _pow(self, base: GroupElement, e: int) -> int:
         """base ** e mod modulus for ``e >= 0``.
 
-        Where ``base ** (2 ** _half)`` is known (kept for the generator,
-        carried by a decoded element), an exponent of more than ``_half``
-        bits is split there and taken as one double power of two half-length
+        Where the base carries ``base ** (2 ** _half)`` (the generator and
+        every decoded element do), an exponent of more than ``_half`` bits is
+        split there and taken as one double power of two half-length
         exponents, about two thirds of the cost of a single power.
         """
         h = self._half
-        if e >> h:
-            if base.value == self.generator.value:
-                if self._g_high is None:
-                    self._g_high = _powmod(base.value, 1 << h, self.modulus)
-                high = self._g_high
-            else:
-                high = base.high
-            if high is not None:
-                return _powmod2(base.value, e & ((1 << h) - 1), high, e >> h,
-                                self.modulus)
+        if e >> h and base.high is not None:
+            return _powmod2(base.value, e & ((1 << h) - 1), base.high, e >> h,
+                            self.modulus)
         return _powmod(base.value, e, self.modulus)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:

@@ -21,13 +21,14 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
 from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
-                  MAX_MSG_SEQ, RECV_CHARGES, REFRESH_CHARGE, SEND_CHARGES,
-                  BusConfig, ForgeAction, Network, ReplayAction, SimReport,
-                  TamperAction, fragment, fragment_count, frame_time_us)
+                  MAX_MSG_SEQ, BusConfig, ForgeAction, Network, ReplayAction,
+                  SimReport, TamperAction, fragment, fragment_count,
+                  frame_time_us)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
-from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, SECU_ID, Ecu, \
-    MsgKind, Secu, WireMessage, body_length, session_chain_key
+from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, MESSAGE_OPS, \
+    ROTATION_OPS, SECU_ID, Ecu, MsgKind, Secu, WireMessage, body_length, \
+    session_chain_key
 
 
 class Scheme(enum.Enum):
@@ -259,8 +260,7 @@ def _check_latency_profile_name(name: str) -> None:
 
 
 # Every op the bus charges; a custom profile must time each of them.
-_CHARGED_OPS = frozenset().union(*SEND_CHARGES.values(), *RECV_CHARGES.values(),
-                                 REFRESH_CHARGE)
+_CHARGED_OPS = frozenset().union(*MESSAGE_OPS.values(), ROTATION_OPS)
 
 
 def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
@@ -387,12 +387,12 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
                          bus: BusConfig) -> dict[str, dict[str, int]]:
     """The ``phase_times`` of an honest run, in closed form.
 
-    Per stage, a max-plus recurrence: the sender charges each message's
-    ``SEND_CHARGES`` in turn; a message's frames start once it is ready and
-    the previous message has left the bus, and go back to back; the stage
-    ends when the last message has been received, after the slowest
-    receiver's ``RECV_CHARGES``. The seed reaches the SECU and every unit
-    but its sender, so at n = 1 only the SECU's charge counts.
+    Per stage, a max-plus recurrence: the sender pays the kind's
+    ``MESSAGE_OPS`` for each message in turn; a message's frames start once
+    it is ready and the previous message has left the bus, and go back to
+    back; the stage ends when the last message has been received, after the
+    slowest receiver has paid them too. The seed reaches the SECU and every
+    unit but its sender, so at n = 1 only the SECU's cost counts.
     """
     stages = (("pairwise", "secu", MsgKind.PAIRWISE_CIPHER, n, ("ecu",)),
               ("group_secret", "secu", MsgKind.GROUP_SECRET, n, ("ecu",)),
@@ -402,12 +402,13 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
     for name, sender, kind, count, receivers in stages:
         msg = WireMessage(kind, SECU_ID, None, bytes(body_length(group, kind)))
         wire = sum(frame_time_us(f, bus) for f in fragment(msg, 0, 0))
+        cost = {node: sum(latency[node][op] for op in MESSAGE_OPS[kind])
+                for node in ("secu", "ecu")}
         ready = end = start
         for _ in range(count):
-            ready += sum(latency[sender][op] for op in SEND_CHARGES[kind])
+            ready += cost[sender]
             end = max(ready, end) + wire
-        end += max(sum(latency[node][op] for op in RECV_CHARGES[kind])
-                   for node in receivers)
+        end += max(cost[node] for node in receivers)
         times[name] = {"start_us": start, "end_us": end, "elapsed_us": end - start}
         start = end
     return times

@@ -74,6 +74,16 @@ def body_length(group: Group, kind: MsgKind) -> int:
     return SEED_LEN + MAC_LEN
 
 
+# The ops a message costs its sender and each receiver that handles it, and
+# the ops of one key rotation, timed on the node's latency profile.
+MESSAGE_OPS: dict[MsgKind, tuple[str, ...]] = {
+    MsgKind.PAIRWISE_CIPHER: ("eccdh",),
+    MsgKind.GROUP_SECRET: ("hkdf", "aes", "hmac"),
+    MsgKind.SEED_BROADCAST: ("hkdf", "hkdf", "hmac"),
+}
+ROTATION_OPS = ("hkdf",)    # one silent key rotation in Ecu.tick_counter
+
+
 class Disposition(enum.Enum):
     ACCEPTED = "accepted"
     IGNORED = "ignored"      # not addressed to this node / not relevant

@@ -120,6 +120,19 @@ class TestRunCommand:
         assert "missing/report.json" in res.stderr
         assert not (tmp_path / "t.csv").exists()
 
+    def test_trace_and_report_on_one_file_exit_2(self, tmp_path):
+        # The same file under two spellings, and under a link, is refused
+        # before the run: nothing is written.
+        cfg = write_config(tmp_path / "cfg.json")
+        (tmp_path / "link.json").symlink_to(tmp_path / "out.json")
+        for trace in ("out.json", "./out.json", str(tmp_path / "link.json")):
+            res = run_cli("run", str(cfg), "-o", "out.json", "--trace", trace,
+                          cwd=tmp_path)
+            assert res.returncode == 2, trace
+            assert res.stderr.startswith("error:")
+            assert "Traceback" not in res.stderr
+            assert not (tmp_path / "out.json").exists()
+
     def test_trace_option_writes_frame_log(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         res = run_cli("run", str(cfg), "--trace", "trace.csv", cwd=tmp_path)

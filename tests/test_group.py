@@ -276,9 +276,9 @@ class TestSchnorr256:
             == pow(a, x, m) * pow(b, y, m) % m
 
     def test_interleaved_bases_and_groups_match_pow(self, big):
-        # Plain bases, decoded ones carrying b^(2^h) and the generator, whose
-        # g^(2^h) the group keeps, alternate; the same value in two groups
-        # must not mix.
+        # Plain bases, decoded ones carrying b^(2^h) and the generator, which
+        # carries g^(2^h) the same way, alternate; the same value in two
+        # groups must not mix.
         toy, m = get_group("toy23"), big.modulus
         decoded = [big.decode_element(big.encode_element(big.exp(big.generator, k)))
                    for k in (3, 2 ** 255 + 1)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canvault import harness, kem
+from canvault import harness, kem, protocol
 from canvault.bus import BusConfig, SimReport
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
@@ -317,6 +317,17 @@ class TestPhaseTimeOracle:
         profile = self.custom_profile(tmp_path, {**ecu, "hkdf": 5}, ecu)
         cfg = ScenarioConfig(group="toy23", n_ecus=1, latency_profile=profile)
         assert run_scenario(cfg).phase_times == _closed_form(cfg)
+
+    def test_bus_and_oracle_read_one_op_list(self, monkeypatch):
+        # An op added to one kind's list moves the bus's charges and the
+        # closed form alike.
+        cfg = ScenarioConfig(group="toy23", n_ecus=3, latency_profile="stm32")
+        unpatched = run_scenario(cfg).phase_times
+        monkeypatch.setitem(protocol.MESSAGE_OPS, MsgKind.GROUP_SECRET,
+                            (*protocol.MESSAGE_OPS[MsgKind.GROUP_SECRET], "sha"))
+        patched = run_scenario(cfg).phase_times
+        assert patched == _closed_form(cfg)
+        assert patched != unpatched
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(n=st.integers(1, 64), bitrate=st.integers(125_000, 8_000_000),
