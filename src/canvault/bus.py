@@ -366,7 +366,9 @@ class Network:
             for node_id in sorted(self._nodes):
                 self._tick_node(self._nodes[node_id])
             return
-        # Reassemble each set once and hand it to every node but its sender.
+        # Reassemble each set once and hand it to the nodes whose acceptance
+        # filter passes it: a seed to every node but its sender, whatever its
+        # receiver says, and any other kind to its receiver alone.
         key = (frame.sender, frame.msg_seq)
         parts = self._partial.setdefault(key, {})
         parts[frame.frag_index] = frame
@@ -376,9 +378,12 @@ class Network:
             # frames under one CAN id leave arbitration in readiness order,
             # so a complete set always reassembles.
             msg = reassemble(list(parts.values()))
-            for node_id in sorted(self._nodes):
-                if node_id != frame.origin:
-                    self._dispatch(self._nodes[node_id], msg)
+            if msg.kind is MsgKind.SEED_BROADCAST:
+                for node_id in sorted(self._nodes):
+                    if node_id != frame.origin:
+                        self._dispatch(self._nodes[node_id], msg)
+            elif msg.receiver in self._nodes:
+                self._dispatch(self._nodes[msg.receiver], msg)
         if frame.frag_index == frame.frag_total - 1:
             for copies, delay in self._captures.pop(
                     (frame.origin, frame.msg_seq), ()):

@@ -11,16 +11,18 @@ All exponents are plain ints in ``[0, order)``. An element's format, its
 fixed-width bytes and its keyfile text, is known only here: other modules
 handle elements through :class:`Group`'s methods.
 
-Every group power is one call of :func:`_powmod` (a single power) or of
-:func:`_powmod2` (a double power ``a^x b^y``): Montgomery exponentiations of
-the libcrypto that CPython's ``ssl`` module links (see ``_libcrypto``), or
+Every group power is one call of :func:`_powmod_fixed` (a power of the
+generator), :func:`_powmod` (a single power of any other base) or
+:func:`_powmod2` (a double power ``a^x b^y``). These are the Montgomery
+powers of the libcrypto that CPython's ``ssl`` module links (see
+``_libcrypto``), the generator's from a comb of its precomputed powers, or
 builtin ``pow`` when that library cannot be loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from random import Random
 from typing import Optional
 
@@ -30,18 +32,20 @@ __all__ = ["Group", "GroupElement", "get_group", "GROUP_NAMES"]
 
 
 def _resolve_backend() -> None:
-    """Bind :func:`_powmod` and :func:`_powmod2` to libcrypto's Montgomery
-    powers, or to builtin ``pow`` where that library cannot be loaded.
+    """Bind :func:`_powmod`, :func:`_powmod2` and :func:`_powmod_fixed` to
+    libcrypto's Montgomery powers, or to builtin ``pow`` where that library
+    cannot be loaded.
 
     The first group power calls this, so ``ctypes`` and libcrypto load then,
     never at import or in :func:`get_group`.
     """
-    global _powmod, _powmod2
+    global _powmod, _powmod2, _powmod_fixed
     try:
         from . import _libcrypto
-        _powmod, _powmod2 = _libcrypto.mod_exp, _libcrypto.mod_exp2
+        _powmod, _powmod2, _powmod_fixed = (
+            _libcrypto.mod_exp, _libcrypto.mod_exp2, _libcrypto.fixed_base_exp)
     except (ImportError, OSError, AttributeError):
-        _powmod, _powmod2 = pow, _pow2
+        _powmod, _powmod2, _powmod_fixed = pow, _pow2, _pow_fixed
 
 
 def _powmod(base: int, e: int, m: int) -> int:
@@ -56,18 +60,29 @@ def _powmod2(a: int, x: int, b: int, y: int, m: int) -> int:
     return _powmod2(a, x, b, y, m)
 
 
+def _powmod_fixed(g: int, e: int, m: int, bits: int) -> int:
+    """g ** e mod m for 0 <= e < 2 ** bits and an odd prime m; ``g`` is the
+    one base of its group, so libcrypto keeps a comb of its powers."""
+    _resolve_backend()
+    return _powmod_fixed(g, e, m, bits)
+
+
 def _pow2(a: int, x: int, b: int, y: int, m: int) -> int:
     """:func:`_powmod2` on builtin ``pow``."""
     return pow(a, x, m) * pow(b, y, m) % m
+
+
+def _pow_fixed(g: int, e: int, m: int, bits: int) -> int:
+    """:func:`_powmod_fixed` on builtin ``pow``."""
+    return pow(g, e, m)
 
 
 @dataclass(frozen=True)
 class GroupElement:
     """Reduced residue of a Group's modulus; :meth:`Group.decode_element`
     returns only subgroup members, each carrying ``high``, its
-    ``value ** (2 ** h)`` (see :meth:`Group._pow`), and so does
-    :attr:`Group.generator`. Equality, hashing and ``repr`` read only
-    ``value``."""
+    ``value ** (2 ** h)`` (see :meth:`Group._pow`). Equality, hashing and
+    ``repr`` read only ``value``."""
 
     value: int
     high: Optional[int] = field(default=None, compare=False, repr=False)
@@ -91,19 +106,13 @@ class Group:
         self.order = order
         self.security_bits = order.bit_length() - 1
         self.element_len = (modulus.bit_length() + 7) // 8
-        self._g = generator % modulus
+        self.generator = GroupElement(generator % modulus)
         self._half = (order.bit_length() + 1) // 2     # split point, see _pow
         if pow(generator, order, modulus) != 1 or generator % modulus == 1:
             raise ValueError(f"{name}: generator does not have order {order}")
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, {self.modulus.bit_length()}-bit modulus)"
-
-    @cached_property
-    def generator(self) -> GroupElement:
-        """The generator, carrying its ``g ** (2 ** _half)`` like a decoded
-        element; that power is taken on first use, never in the constructor."""
-        return GroupElement(self._g, _powmod(self._g, 1 << self._half, self.modulus))
 
     @property
     def identity(self) -> GroupElement:
@@ -117,15 +126,18 @@ class Group:
         """base ** e within the group.
 
         A power of the generator (compared by value) reduces ``e`` mod
-        ``order``, so any int works there. Any other base takes ``e >= 0``,
-        not necessarily reduced.
+        ``order``, so any int works there, and comes from the comb that the
+        first one builds. Any other base takes ``e >= 0``, not necessarily
+        reduced.
 
         Raises:
             ValueError: ``e < 0`` and ``base`` is not the generator.
         """
-        if base.value == self._g:
-            e %= self.order
-        elif e < 0:
+        g = self.generator.value
+        if base.value == g:
+            return GroupElement(_powmod_fixed(g, e % self.order, self.modulus,
+                                              self.order.bit_length()))
+        if e < 0:
             raise ValueError("exp takes exponents >= 0 for a base other than g")
         return GroupElement(self._pow(base, e))
 
@@ -142,10 +154,10 @@ class Group:
     def _pow(self, base: GroupElement, e: int) -> int:
         """base ** e mod modulus for ``e >= 0``.
 
-        Where the base carries ``base ** (2 ** _half)`` (the generator and
-        every decoded element do), an exponent of more than ``_half`` bits is
-        split there and taken as one double power of two half-length
-        exponents, about two thirds of the cost of a single power.
+        Where the base carries ``base ** (2 ** _half)`` (every decoded element
+        does), an exponent of more than ``_half`` bits is split there and
+        taken as one double power of two half-length exponents, about two
+        thirds of the cost of a single power.
         """
         h = self._half
         if e >> h and base.high is not None:

@@ -13,7 +13,7 @@ from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
-from canvault.protocol import SECU_ID, Ecu, MsgKind, Secu, WireMessage
+from canvault.protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,28 @@ class TestDeliveryAndDeterminism:
         net.run_to_quiescence()
         assert len(seen) == 1
         assert seen[0].kind is MsgKind.PAIRWISE_CIPHER
+
+    def test_unicast_kinds_reach_only_their_receiver(self, monkeypatch):
+        # Pairwise ciphertexts and group secrets go to their receiver alone,
+        # so no handler sees one only to ignore it; seeds still reach every
+        # other node, the SECU included.
+        handled = []
+        for cls in (Ecu, Secu):
+            def handle(self, msg, original=cls.handle):
+                outcome = original(self, msg)
+                handled.append((msg.kind.value, msg.receiver,
+                                getattr(self, "ecu_id", SECU_ID),
+                                outcome.disposition.value))
+                return outcome
+            monkeypatch.setattr(cls, "handle", handle)
+        run_scenario(ScenarioConfig(group="toy23", n_ecus=3))
+        accepted = Disposition.ACCEPTED.value
+        assert sorted(h for h in handled if h[0] != "seed_broadcast") == [
+            (kind, i, i, accepted)
+            for kind in ("group_secret", "pairwise_cipher") for i in range(3)]
+        # Unit 0 sends the seed; units 1 and 2 and the SECU accept it.
+        assert sorted(h for h in handled if h[0] == "seed_broadcast") == [
+            ("seed_broadcast", None, node, accepted) for node in (SECU_ID, 1, 2)]
 
     def test_identical_runs_are_identical(self):
         cfg = ScenarioConfig(group="toy23", n_ecus=3, rng_seed=42, post_ticks=7,

@@ -276,9 +276,9 @@ class TestSchnorr256:
             == pow(a, x, m) * pow(b, y, m) % m
 
     def test_interleaved_bases_and_groups_match_pow(self, big):
-        # Plain bases, decoded ones carrying b^(2^h) and the generator, which
-        # carries g^(2^h) the same way, alternate; the same value in two
-        # groups must not mix.
+        # Plain bases, decoded ones carrying b^(2^h) and the generator, whose
+        # powers come from its comb, alternate; the same value in two groups
+        # must not mix.
         toy, m = get_group("toy23"), big.modulus
         decoded = [big.decode_element(big.encode_element(big.exp(big.generator, k)))
                    for k in (3, 2 ** 255 + 1)]
@@ -395,14 +395,94 @@ class TestPowmodBackend:
         assert powmod2(0, 0, 3, 5, m) == powmod2(m, 0, 3, 5, m) == pow(3, 5, m)
 
 
+BACKEND_LOAD_PROBE = """
+import sys
+from canvault.group import GroupElement, get_group
+from canvault.harness import ScenarioConfig
+
+grp = get_group("schnorr256")
+ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
+if "ctypes" in sys.modules or "canvault._libcrypto" in sys.modules:
+    sys.exit("libcrypto loaded before the first group power")
+grp.exp(GroupElement(3), 5)
+try:
+    from canvault import _libcrypto
+except (ImportError, OSError, AttributeError):
+    sys.exit(0)
+if _libcrypto._combs:
+    sys.exit("comb built before the first generator power")
+grp.exp(grp.generator, 5)
+if list(_libcrypto._combs) != [(grp.generator.value, grp.modulus, 256)]:
+    sys.exit(f"first generator power built {list(_libcrypto._combs)}")
+"""
+
+
 def test_backend_loads_on_first_power_not_at_import():
-    # Importing canvault and building a group (setup_s in perfbench) must not
-    # pay for loading ctypes, _ssl and libcrypto.
+    # Importing canvault, building a group and parsing a config (setup_s in
+    # perfbench) must not pay for loading ctypes, _ssl and libcrypto, nor for
+    # the generator's comb, which waits for the first generator power.
     src = Path(canvault.group.__file__).resolve().parents[1]
-    code = ("import sys, canvault; from canvault.group import get_group; "
-            "get_group('schnorr256'); sys.exit('ctypes' in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True,
+    subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+class TestFixedBaseComb:
+    """Generator powers from libcrypto's fixed-base comb against builtin
+    ``pow``, through :meth:`Group.exp` and called directly."""
+
+    @pytest.fixture(scope="class")
+    def libcrypto(self):
+        try:
+            from canvault import _libcrypto
+        except (ImportError, OSError, AttributeError):
+            pytest.skip("libcrypto cannot be loaded on this host")
+        return _libcrypto
+
+    # The comb reads a 256-bit exponent as 8 rows of 32 bits.
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(min_value=0, max_value=2 ** 256 - 1))
+    @example(e=0)
+    @example(e=1)
+    @example(e=BIG_ORDER - 1)
+    @example(e=BIG_ORDER)
+    @example(e=BIG_ORDER + 1)
+    @example(e=2 ** 255)
+    @example(e=2 ** 224 - 1)                        # top row all zero
+    @example(e=BIG_ORDER >> 32 << 32)               # bottom row all zero
+    @example(e=2 ** 256 - 1)
+    def test_draws_match_builtin_pow(self, big, libcrypto, e):
+        g, m = big.generator.value, big.modulus
+        assert big.exp(big.generator, e).value == pow(g, e, m)
+        assert libcrypto.fixed_base_exp(g, e, m, 256) == pow(g, e, m)
+
+    def test_negative_exponent_is_reduced_mod_order(self, big):
+        g, m, q = big.generator.value, big.modulus, big.order
+        for e in (-1, -q, -q - 5, -(2 ** 300)):
+            assert big.exp(big.generator, e).value == pow(g, e % q, m)
+
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_every_table_entry(self, libcrypto, name):
+        # Rows i set for the bits i of u put u in every column, so each
+        # entry of both tables is read by one of these powers. The comb for
+        # 8 * width bits is laid out as the group's (the same one for
+        # schnorr256), but admits every exponent that fills its rows.
+        grp = get_group(name)
+        g, m = grp.generator.value, grp.modulus
+        width = ((grp.order.bit_length() + 7) // 8 + 1) // 2 * 2
+        bits = 8 * width
+        for u in range(256):
+            e = sum(((1 << width) - 1) << (i * width) for i in range(8) if u >> i & 1)
+            assert libcrypto.fixed_base_exp(g, e, m, bits) == pow(g, e, m), u
+
+    def test_toy_exhaustively(self, toy, libcrypto):
+        g, m = toy.generator.value, toy.modulus
+        for e in range(toy.order):
+            assert libcrypto.fixed_base_exp(g, e, m, 4) == pow(g, e, m)
+
+    def test_refuses_exponents_outside_its_bits(self, toy, libcrypto):
+        for e in (-1, 16, 2 ** 600):
+            with pytest.raises(ValueError):
+                libcrypto.fixed_base_exp(toy.generator.value, e, toy.modulus, 4)
 
 
 @pytest.fixture
@@ -426,8 +506,8 @@ def libcrypto_tripwire(monkeypatch):
 
 
 def every_kind_of_power():
-    """Single, split and double powers on both groups, and one honest
-    schnorr256 keying round trip."""
+    """Single, split, double and generator powers on both groups, and one
+    honest schnorr256 keying round trip."""
     for grp in map(get_group, GROUP_NAMES):
         three = GroupElement(3)
         grp.exp(three, 2)

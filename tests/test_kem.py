@@ -161,19 +161,21 @@ class TestProductionGroup:
 
 @pytest.fixture
 def counted(big, monkeypatch):
-    """A fresh schnorr256 group, and a function that returns the backend
-    powers ("exp" or "exp2") made since its last call."""
+    """A fresh schnorr256 group, and a function that returns the powers
+    ("fixed" for the generator's, "exp" or "exp2" for a backend single or
+    double power) made since its last call."""
     grp = Group("schnorr256", modulus=big.modulus, order=big.order,
                 generator=big.generator.value)
     grp.exp(GroupElement(3), 2)                     # resolve the backend
+    kinds = {"_powmod_fixed": "fixed", "_powmod": "exp", "_powmod2": "exp2"}
     calls = []
-    for name in ("_powmod", "_powmod2"):
+    for name, kind in kinds.items():
         fn = getattr(canvault.group, name)
         monkeypatch.setattr(canvault.group, name,
-                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+                            lambda *a, fn=fn, kind=kind: calls.append(kind) or fn(*a))
 
     def used():
-        out = ["exp2" if c == "_powmod2" else "exp" for c in calls]
+        out = list(calls)
         calls.clear()
         return out
 
@@ -182,18 +184,19 @@ def counted(big, monkeypatch):
 
 
 def test_backend_calls_per_unit_on_schnorr256(counted):
-    """The per-unit power budget, in backend calls. A fresh group builds
-    g^(2^h) once, then every generator power is one double power (split at
-    bit h). Encapsulation takes K = u^r, whose base is used once, as one
-    single power, and the binding K^t v^r as one double power. Receipt
+    """The per-unit power budget: 3 generator powers plus 6 backend calls.
+    The generator's powers, g^x and g^y at keygen and g^r at encapsulation,
+    come from its fixed-base comb, which costs about half a single power and
+    no backend call. Encapsulation takes K = u^r, whose base is used once, as
+    one single power, and the binding K^t v^r as one double power. Receipt
     decodes c with c^(2^h) attached, so c^order, c^(xt+y) and c^x are one
     double power each."""
     grp, used = counted
     rng = Random(102)
     kp = kem.keygen(grp, 0, rng)
-    assert used() == ["exp", "exp2", "exp2"]
+    assert used() == ["fixed", "fixed"]
     key, ct = kem.encapsulate(grp, kp.public, rng)
-    assert used() == ["exp2", "exp", "exp2"]
+    assert used() == ["fixed", "exp", "exp2"]
     assert kem.open_ciphertext(grp, kp, kem.encode_ciphertext(grp, ct)) == key
     assert used() == ["exp", "exp2", "exp2", "exp2"]
 
