@@ -11,18 +11,19 @@ All exponents are plain ints in ``[0, order)``. An element's format, its
 fixed-width bytes and its keyfile text, is known only here: other modules
 handle elements through :class:`Group`'s methods.
 
-Every group power is one call of :func:`_powmod_fixed` (a power of the
-generator), :func:`_powmod` (a single power of any other base) or
-:func:`_powmod2` (a double power ``a^x b^y``). These are the Montgomery
-powers of the libcrypto that CPython's ``ssl`` module links (see
-``_libcrypto``), the generator's from a comb of its precomputed powers, or
-builtin ``pow`` when that library cannot be loaded.
+Every group power is one call of the group's backend, :attr:`Group._powers`:
+``fixed_base_exp`` (a power of the generator), ``mod_exp`` (a single power of
+any other base) or ``mod_exp2`` (a double power ``a^x b^y``). A modulus of
+512 bits or more takes the Montgomery powers of the libcrypto that CPython's
+``ssl`` module links (``canvault._libcrypto``), the generator's from a comb of
+its precomputed powers. A smaller modulus, or any modulus where that library
+cannot be loaded, takes builtin ``pow``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from random import Random
 from typing import Optional
 
@@ -31,50 +32,23 @@ from .errors import DecodeError
 __all__ = ["Group", "GroupElement", "get_group", "GROUP_NAMES"]
 
 
-def _resolve_backend() -> None:
-    """Bind :func:`_powmod`, :func:`_powmod2` and :func:`_powmod_fixed` to
-    libcrypto's Montgomery powers, or to builtin ``pow`` where that library
-    cannot be loaded.
-
-    The first group power calls this, so ``ctypes`` and libcrypto load then,
-    never at import or in :func:`get_group`.
-    """
-    global _powmod, _powmod2, _powmod_fixed
-    try:
-        from . import _libcrypto
-        _powmod, _powmod2, _powmod_fixed = (
-            _libcrypto.mod_exp, _libcrypto.mod_exp2, _libcrypto.fixed_base_exp)
-    except (ImportError, OSError, AttributeError):
-        _powmod, _powmod2, _powmod_fixed = pow, _pow2, _pow_fixed
+# Below this modulus size a ``ctypes`` call costs far more than the power:
+# 12-19 us against about 0.2 us for builtin ``pow`` on toy23's 5 bits.
+_LIBCRYPTO_MIN_BITS = 512
 
 
-def _powmod(base: int, e: int, m: int) -> int:
-    """base ** e mod m for e >= 0 and an odd prime m."""
-    _resolve_backend()
-    return _powmod(base, e, m)
+class _BuiltinPowers:
+    """The three powers of ``canvault._libcrypto`` on builtin ``pow``."""
 
+    mod_exp = staticmethod(pow)
 
-def _powmod2(a: int, x: int, b: int, y: int, m: int) -> int:
-    """a ** x * b ** y mod m for x, y >= 0 and an odd prime m."""
-    _resolve_backend()
-    return _powmod2(a, x, b, y, m)
+    @staticmethod
+    def mod_exp2(a: int, x: int, b: int, y: int, m: int) -> int:
+        return pow(a, x, m) * pow(b, y, m) % m
 
-
-def _powmod_fixed(g: int, e: int, m: int, bits: int) -> int:
-    """g ** e mod m for 0 <= e < 2 ** bits and an odd prime m; ``g`` is the
-    one base of its group, so libcrypto keeps a comb of its powers."""
-    _resolve_backend()
-    return _powmod_fixed(g, e, m, bits)
-
-
-def _pow2(a: int, x: int, b: int, y: int, m: int) -> int:
-    """:func:`_powmod2` on builtin ``pow``."""
-    return pow(a, x, m) * pow(b, y, m) % m
-
-
-def _pow_fixed(g: int, e: int, m: int, bits: int) -> int:
-    """:func:`_powmod_fixed` on builtin ``pow``."""
-    return pow(g, e, m)
+    @staticmethod
+    def fixed_base_exp(g: int, e: int, m: int, bits: int) -> int:
+        return pow(g, e, m)
 
 
 @dataclass(frozen=True)
@@ -114,6 +88,23 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({self.name!r}, {self.modulus.bit_length()}-bit modulus)"
 
+    @cached_property
+    def _powers(self):
+        """This group's backend: ``canvault._libcrypto`` for a modulus of
+        :data:`_LIBCRYPTO_MIN_BITS` or more where that library loads, else
+        :class:`_BuiltinPowers`.
+
+        Resolved on the group's first power, so ``ctypes`` and libcrypto load
+        then, never at import or in :func:`get_group`.
+        """
+        if self.modulus.bit_length() >= _LIBCRYPTO_MIN_BITS:
+            try:
+                from . import _libcrypto
+                return _libcrypto
+            except (ImportError, OSError, AttributeError):
+                pass
+        return _BuiltinPowers
+
     @property
     def identity(self) -> GroupElement:
         return GroupElement(1)
@@ -135,8 +126,8 @@ class Group:
         """
         g = self.generator.value
         if base.value == g:
-            return GroupElement(_powmod_fixed(g, e % self.order, self.modulus,
-                                              self.order.bit_length()))
+            return GroupElement(self._powers.fixed_base_exp(
+                g, e % self.order, self.modulus, self.order.bit_length()))
         if e < 0:
             raise ValueError("exp takes exponents >= 0 for a base other than g")
         return GroupElement(self._pow(base, e))
@@ -149,7 +140,8 @@ class Group:
         """
         if x < 0 or y < 0:
             raise ValueError("exp2 takes exponents >= 0")
-        return GroupElement(_powmod2(a.value, x, b.value, y, self.modulus))
+        return GroupElement(self._powers.mod_exp2(a.value, x, b.value, y,
+                                                  self.modulus))
 
     def _pow(self, base: GroupElement, e: int) -> int:
         """base ** e mod modulus for ``e >= 0``.
@@ -161,9 +153,9 @@ class Group:
         """
         h = self._half
         if e >> h and base.high is not None:
-            return _powmod2(base.value, e & ((1 << h) - 1), base.high, e >> h,
-                            self.modulus)
-        return _powmod(base.value, e, self.modulus)
+            return self._powers.mod_exp2(base.value, e & ((1 << h) - 1),
+                                         base.high, e >> h, self.modulus)
+        return self._powers.mod_exp(base.value, e, self.modulus)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.value * b.value) % self.modulus)
@@ -186,7 +178,8 @@ class Group:
             DecodeError: wrong length, or the value is not a subgroup member.
         """
         value = self.decode_residue(data).value
-        e = GroupElement(value, _powmod(value, 1 << self._half, self.modulus))
+        e = GroupElement(value, self._powers.mod_exp(value, 1 << self._half,
+                                                     self.modulus))
         if not self.is_member(e):
             raise DecodeError(f"{value} is not in the order-{self.order} subgroup")
         return e

@@ -127,7 +127,6 @@ class SessionState:
     counter: int
     session_key: bytes      # 32-byte working key of the current round
     chain_key: bytes        # 16-byte salt feeding each round derivation
-    mac_key: bytes          # 32-byte key authenticating the seed broadcast
 
 
 def _session_keys(group_secret: bytes) -> tuple[bytes, bytes]:
@@ -140,11 +139,11 @@ def session_chain_key(group_secret: bytes) -> bytes:
     return _session_keys(group_secret)[0]
 
 
-def _first_round(seed: bytes, chain_key: bytes, mac_key: bytes) -> SessionState:
+def _first_round(seed: bytes, chain_key: bytes) -> SessionState:
     """Round-0 session state keyed from a broadcast seed."""
     key = primitives.hkdf_session(seed, 0, chain_key)
     return SessionState(round_index=0, counter=0, session_key=key,
-                        chain_key=chain_key, mac_key=mac_key)
+                        chain_key=chain_key)
 
 
 class _ReplayCache:
@@ -293,7 +292,7 @@ class Ecu:
         seed = rng.randbytes(SEED_LEN)
         chain_key, mac_key = _session_keys(self.group_secret)
         tag = primitives.hmac_tag(seed, mac_key)
-        self.session = _first_round(seed, chain_key, mac_key)
+        self.session = _first_round(seed, chain_key)
         # Own tag goes in the cache so a replayed copy of this broadcast is
         # recognized even by its original sender.
         self.replay_cache.add(tag)
@@ -311,7 +310,7 @@ class Ecu:
         chain_key, mac_key = _session_keys(self.group_secret)
         if not primitives.hmac_verify(seed, mac_key, tag):
             return _rejected("mac")
-        self.session = _first_round(seed, chain_key, mac_key)
+        self.session = _first_round(seed, chain_key)
         self.replay_cache.add(tag)
         return _ACCEPTED
 

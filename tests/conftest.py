@@ -2,16 +2,15 @@
 
 import pytest
 
-import canvault.group
+from canvault.group import Group, _BuiltinPowers
 
 
 @pytest.fixture(scope="class")
 def builtin_pow():
     """Group powers, single, double and of the generator, on builtin
-    ``pow``: the fallback of a host whose CPython has no loadable libcrypto,
-    so that path stays covered everywhere."""
+    ``pow`` in every group: the fallback of a host whose CPython has no
+    loadable libcrypto, so that path stays covered everywhere. A property is
+    a data descriptor, so it overrides a backend a group has already kept."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canvault.group, "_powmod", pow)
-        mp.setattr(canvault.group, "_powmod2", canvault.group._pow2)
-        mp.setattr(canvault.group, "_powmod_fixed", canvault.group._pow_fixed)
+        mp.setattr(Group, "_powers", property(lambda self: _BuiltinPowers))
         yield

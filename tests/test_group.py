@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import canvault.group
 from canvault import kem
 from canvault.errors import DecodeError
-from canvault.group import GROUP_NAMES, Group, GroupElement, get_group
+from canvault.group import (GROUP_NAMES, Group, GroupElement, _BuiltinPowers,
+                            get_group)
 
 BIG_ORDER = get_group("schnorr256").order
 BIG_MODULUS = get_group("schnorr256").modulus
@@ -50,6 +51,15 @@ def toy():
 @pytest.fixture(scope="module")
 def big():
     return get_group("schnorr256")
+
+
+@pytest.fixture(scope="module")
+def libcrypto():
+    try:
+        from canvault import _libcrypto
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("libcrypto cannot be loaded on this host")
+    return _libcrypto
 
 
 class TestToyGroup:
@@ -182,9 +192,19 @@ class TestToyGroup:
         assert 0 not in seen
 
 
-@pytest.mark.usefixtures("builtin_pow")
-class TestToyGroupUnderBuiltinPow(TestToyGroup):
-    """Every toy23 oracle again on the builtin ``pow`` fallback."""
+class TestToyGroupOnLibcrypto(TestToyGroup):
+    """Every toy23 oracle again with libcrypto's powers forced onto toy23,
+    whose own backend is builtin ``pow``, so that the exhaustive oracles
+    check libcrypto's single, double and fixed-base powers."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def toy_on_libcrypto(self, toy, libcrypto):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toy, "_powers", libcrypto)
+            yield
+
+    def test_powers_are_libcrypto(self, toy, libcrypto):
+        assert toy._powers is libcrypto
 
 
 class TestSchnorr256:
@@ -353,19 +373,32 @@ def test_unknown_group_name():
         get_group("nope")
 
 
+def test_each_group_picks_its_backend_from_its_modulus():
+    try:
+        from canvault import _libcrypto as large
+    except (ImportError, OSError, AttributeError):
+        large = _BuiltinPowers
+    assert get_group("toy23")._powers is _BuiltinPowers
+    assert get_group("schnorr256")._powers is large
+    # Any prime m has the order-2 subgroup {1, m - 1}.
+    for bits, backend in ((511, _BuiltinPowers), (512, large)):
+        m = sympy.prevprime(2 ** bits)
+        assert Group("edge", modulus=m, order=2, generator=m - 1)._powers \
+            is backend, bits
+
+
 class TestPowmodBackend:
-    """The single and double powers that the first group power resolves
-    (libcrypto's ``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` where that
-    library loads) against builtin ``pow``."""
+    """The single and double powers of schnorr256's backend (libcrypto's
+    ``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` where that library loads)
+    against builtin ``pow``, on both groups' moduli."""
 
     @pytest.fixture(scope="class")
     def powmod(self):
-        get_group("toy23").exp(GroupElement(3), 2)
-        return canvault.group._powmod
+        return get_group("schnorr256")._powers.mod_exp
 
     @pytest.fixture(scope="class")
-    def powmod2(self, powmod):
-        return canvault.group._powmod2
+    def powmod2(self):
+        return get_group("schnorr256")._powers.mod_exp2
 
     @pytest.mark.parametrize("name", GROUP_NAMES)
     def test_edge_cases_match_builtin_pow(self, powmod, name):
@@ -398,8 +431,11 @@ class TestPowmodBackend:
 BACKEND_LOAD_PROBE = """
 import sys
 from canvault.group import GroupElement, get_group
-from canvault.harness import ScenarioConfig
+from canvault.harness import ScenarioConfig, run_scenario
 
+run_scenario(ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3}))
+if "ctypes" in sys.modules or "canvault._libcrypto" in sys.modules:
+    sys.exit("a toy23 run loaded libcrypto")
 grp = get_group("schnorr256")
 ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
 if "ctypes" in sys.modules or "canvault._libcrypto" in sys.modules:
@@ -418,9 +454,10 @@ if list(_libcrypto._combs) != [(grp.generator.value, grp.modulus, 256)]:
 
 
 def test_backend_loads_on_first_power_not_at_import():
-    # Importing canvault, building a group and parsing a config (setup_s in
-    # perfbench) must not pay for loading ctypes, _ssl and libcrypto, nor for
-    # the generator's comb, which waits for the first generator power.
+    # A whole toy23 run never loads ctypes, _ssl and libcrypto. Importing
+    # canvault, building a group and parsing a config (setup_s in perfbench)
+    # must not pay for loading them either, nor for the generator's comb,
+    # which waits for the first generator power.
     src = Path(canvault.group.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
@@ -429,14 +466,6 @@ def test_backend_loads_on_first_power_not_at_import():
 class TestFixedBaseComb:
     """Generator powers from libcrypto's fixed-base comb against builtin
     ``pow``, through :meth:`Group.exp` and called directly."""
-
-    @pytest.fixture(scope="class")
-    def libcrypto(self):
-        try:
-            from canvault import _libcrypto
-        except (ImportError, OSError, AttributeError):
-            pytest.skip("libcrypto cannot be loaded on this host")
-        return _libcrypto
 
     # The comb reads a 256-bit exponent as 8 rows of 32 bits.
     @settings(max_examples=60, deadline=None)
@@ -486,14 +515,9 @@ class TestFixedBaseComb:
 
 
 @pytest.fixture
-def libcrypto_tripwire(monkeypatch):
+def libcrypto_tripwire(libcrypto, monkeypatch):
     """Replace the loaded libcrypto with an object that records and refuses
     every function lookup; yields the list of names looked up."""
-    get_group("toy23").exp(GroupElement(3), 2)      # resolve the backend first
-    try:
-        from canvault import _libcrypto
-    except (ImportError, OSError, AttributeError):
-        pytest.skip("libcrypto cannot be loaded on this host")
     calls = []
 
     class Tripwire:
@@ -501,7 +525,7 @@ def libcrypto_tripwire(monkeypatch):
             calls.append(name)
             raise AssertionError(f"libcrypto {name} called")
 
-    monkeypatch.setattr(_libcrypto, "lib", Tripwire())
+    monkeypatch.setattr(libcrypto, "lib", Tripwire())
     yield calls
 
 

@@ -304,6 +304,10 @@ class TestPhaseTimeOracle:
                                  bitrate_bps=bitrate)
             assert run_scenario(cfg).phase_times == _closed_form(cfg)
 
+    def test_thousand_units(self):
+        cfg = ScenarioConfig(group="toy23", n_ecus=1000, latency_profile="stm32")
+        assert run_scenario(cfg).phase_times == _closed_form(cfg)
+
     @staticmethod
     def custom_profile(directory, secu: dict, ecu: dict) -> str:
         path = directory / "profile.json"

@@ -3,10 +3,10 @@ modular-arithmetic oracle, and randomized production-group trials."""
 
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
-import canvault.group
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError
 from canvault.group import Group, GroupElement, get_group
@@ -160,26 +160,28 @@ class TestProductionGroup:
 
 
 @pytest.fixture
-def counted(big, monkeypatch):
-    """A fresh schnorr256 group, and a function that returns the powers
-    ("fixed" for the generator's, "exp" or "exp2" for a backend single or
-    double power) made since its last call."""
+def counted(big):
+    """A fresh schnorr256 group whose backend counts its calls, and a
+    function that returns the powers ("fixed" for the generator's, "exp" or
+    "exp2" for a single or double power of another base) made since its last
+    call."""
     grp = Group("schnorr256", modulus=big.modulus, order=big.order,
                 generator=big.generator.value)
-    grp.exp(GroupElement(3), 2)                     # resolve the backend
-    kinds = {"_powmod_fixed": "fixed", "_powmod": "exp", "_powmod2": "exp2"}
-    calls = []
-    for name, kind in kinds.items():
-        fn = getattr(canvault.group, name)
-        monkeypatch.setattr(canvault.group, name,
-                            lambda *a, fn=fn, kind=kind: calls.append(kind) or fn(*a))
+    backend, calls = grp._powers, []
+
+    def counting(fn, kind):
+        return lambda *a: calls.append(kind) or fn(*a)
+
+    grp._powers = SimpleNamespace(
+        fixed_base_exp=counting(backend.fixed_base_exp, "fixed"),
+        mod_exp=counting(backend.mod_exp, "exp"),
+        mod_exp2=counting(backend.mod_exp2, "exp2"))
 
     def used():
         out = list(calls)
         calls.clear()
         return out
 
-    used()
     return grp, used
 
 
