@@ -15,8 +15,8 @@ Every group power is one call of the group's backend, :attr:`Group._powers`:
 ``fixed_base_exp`` (a power of the generator), ``mod_exp`` (a single power of
 any other base) or ``mod_exp2`` (a double power ``a^x b^y``). A modulus of
 512 bits or more takes the Montgomery powers of the libcrypto that CPython's
-``ssl`` module links (``canvault._libcrypto``), the generator's from a comb of
-its precomputed powers. A smaller modulus, or any modulus where that library
+``ssl`` module links (``canvault._libcrypto``), the generator's from a
+fixed-window table of its precomputed powers. A smaller modulus, or any modulus where that library
 cannot be loaded, takes builtin ``pow``.
 """
 
@@ -117,8 +117,8 @@ class Group:
         """base ** e within the group.
 
         A power of the generator (compared by value) reduces ``e`` mod
-        ``order``, so any int works there, and comes from the comb that the
-        first one builds. Any other base takes ``e >= 0``, not necessarily
+        ``order``, so any int works there, and comes from the fixed-base table
+        that the first one builds. Any other base takes ``e >= 0``, not necessarily
         reduced.
 
         Raises:

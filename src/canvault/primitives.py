@@ -102,14 +102,6 @@ def hmac_verify(msg: bytes, key: bytes, tag: bytes) -> bool:
     return _hmac.compare_digest(hmac_tag(msg, key), tag)
 
 
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Raw AES-128 forward transform of a single 16-byte block."""
-    if len(key) != ENC_KEY_LEN or len(block) != 16:
-        raise ValueError("AES-128 block operation needs 16-byte key and block")
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
-
-
 def _ctr_stream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
     return enc.update(data) + enc.finalize()

@@ -221,7 +221,7 @@ class Secu:
             return _IGNORED
         if self.phase is not Phase.GROUP_SECRET:
             return _IGNORED
-        if len(msg.body) != SEED_LEN + MAC_LEN:
+        if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
             return _rejected("decode")
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
         _, mac_key = _session_keys(self.group_secret)
@@ -302,7 +302,7 @@ class Ecu:
     def handle_seed(self, msg: WireMessage) -> Outcome:
         if self.group_secret is None:
             return _rejected("state")
-        if len(msg.body) != SEED_LEN + MAC_LEN:
+        if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
             return _rejected("decode")
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
         if tag in self.replay_cache:

@@ -297,7 +297,7 @@ class TestSchnorr256:
 
     def test_interleaved_bases_and_groups_match_pow(self, big):
         # Plain bases, decoded ones carrying b^(2^h) and the generator, whose
-        # powers come from its comb, alternate; the same value in two groups
+        # powers come from its table, alternate; the same value in two groups
         # must not mix.
         toy, m = get_group("toy23"), big.modulus
         decoded = [big.decode_element(big.encode_element(big.exp(big.generator, k)))
@@ -445,29 +445,28 @@ try:
     from canvault import _libcrypto
 except (ImportError, OSError, AttributeError):
     sys.exit(0)
-if _libcrypto._combs:
-    sys.exit("comb built before the first generator power")
+if _libcrypto._tables:
+    sys.exit("table built before the first generator power")
 grp.exp(grp.generator, 5)
-if list(_libcrypto._combs) != [(grp.generator.value, grp.modulus, 256)]:
-    sys.exit(f"first generator power built {list(_libcrypto._combs)}")
+if list(_libcrypto._tables) != [(grp.generator.value, grp.modulus, 256)]:
+    sys.exit(f"first generator power built {list(_libcrypto._tables)}")
 """
 
 
 def test_backend_loads_on_first_power_not_at_import():
     # A whole toy23 run never loads ctypes, _ssl and libcrypto. Importing
     # canvault, building a group and parsing a config (setup_s in perfbench)
-    # must not pay for loading them either, nor for the generator's comb,
+    # must not pay for loading them either, nor for the generator's table,
     # which waits for the first generator power.
     src = Path(canvault.group.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
-class TestFixedBaseComb:
-    """Generator powers from libcrypto's fixed-base comb against builtin
+class TestFixedBaseTable:
+    """Generator powers from libcrypto's fixed-base table against builtin
     ``pow``, through :meth:`Group.exp` and called directly."""
 
-    # The comb reads a 256-bit exponent as 8 rows of 32 bits.
     @settings(max_examples=60, deadline=None)
     @given(e=st.integers(min_value=0, max_value=2 ** 256 - 1))
     @example(e=0)
@@ -476,8 +475,8 @@ class TestFixedBaseComb:
     @example(e=BIG_ORDER)
     @example(e=BIG_ORDER + 1)
     @example(e=2 ** 255)
-    @example(e=2 ** 224 - 1)                        # top row all zero
-    @example(e=BIG_ORDER >> 32 << 32)               # bottom row all zero
+    @example(e=2 ** 224 - 1)                        # top 32 bits zero
+    @example(e=BIG_ORDER >> 32 << 32)               # bottom 32 bits zero
     @example(e=2 ** 256 - 1)
     def test_draws_match_builtin_pow(self, big, libcrypto, e):
         g, m = big.generator.value, big.modulus
@@ -491,17 +490,16 @@ class TestFixedBaseComb:
 
     @pytest.mark.parametrize("name", GROUP_NAMES)
     def test_every_table_entry(self, libcrypto, name):
-        # Rows i set for the bits i of u put u in every column, so each
-        # entry of both tables is read by one of these powers. The comb for
-        # 8 * width bits is laid out as the group's (the same one for
-        # schnorr256), but admits every exponent that fills its rows.
+        # A power with the one nonzero digit d in window i reads exactly the
+        # entry g^(d * 2^(w * i)), at the group's own exponent bits.
         grp = get_group(name)
-        g, m = grp.generator.value, grp.modulus
-        width = ((grp.order.bit_length() + 7) // 8 + 1) // 2 * 2
-        bits = 8 * width
-        for u in range(256):
-            e = sum(((1 << width) - 1) << (i * width) for i in range(8) if u >> i & 1)
-            assert libcrypto.fixed_base_exp(g, e, m, bits) == pow(g, e, m), u
+        g, m, bits = grp.generator.value, grp.modulus, grp.order.bit_length()
+        w = libcrypto._WINDOW
+        for i in range(-(-bits // w)):
+            row_base = pow(g, 1 << w * i, m)
+            for d in range(1, 1 << min(w, bits - w * i)):
+                assert libcrypto.fixed_base_exp(g, d << w * i, m, bits) \
+                    == pow(row_base, d, m), (i, d)
 
     def test_toy_exhaustively(self, toy, libcrypto):
         g, m = toy.generator.value, toy.modulus

@@ -188,7 +188,7 @@ def counted(big):
 def test_backend_calls_per_unit_on_schnorr256(counted):
     """The per-unit power budget: 3 generator powers plus 6 backend calls.
     The generator's powers, g^x and g^y at keygen and g^r at encapsulation,
-    come from its fixed-base comb, which costs about half a single power and
+    come from its fixed-base table, which costs about a third of a single power and
     no backend call. Encapsulation takes K = u^r, whose base is used once, as
     one single power, and the binding K^t v^r as one double power. Receipt
     decodes c with c^(2^h) attached, so c^order, c^(xt+y) and c^x are one
