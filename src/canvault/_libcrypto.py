@@ -1,4 +1,5 @@
-"""Modular powers on the libcrypto that CPython's ``_ssl`` module links.
+"""Modular powers and AES-128-CTR on the libcrypto that CPython's ``_ssl``
+module links.
 
 Importing this module loads the library through ``ctypes`` and declares every
 signature it calls, in one table; it raises ``ImportError``, ``OSError`` or
@@ -8,13 +9,15 @@ mapped the library, so opening it by its soname returns the same copy.
 Three powers: :func:`mod_exp` and :func:`mod_exp2` (a single and a double
 Montgomery power of any base), and :func:`fixed_base_exp`, a power of one
 fixed base from a fixed-window table of its precomputed powers in Montgomery
-form (the fixed-base windowing method, HAC 14.6.3).
+form (the fixed-base windowing method, HAC 14.6.3). One cipher:
+:func:`aes128_ctr`, AES-128 in counter mode through libcrypto's EVP interface.
 
 Each odd modulus gets one ``BN_MONT_CTX``, and each ``(base, modulus,
 exponent bits)`` one table, built on its first power and kept, read-only, for
 the process; libcrypto never writes a Montgomery context or a multiplicand it
 is handed, so threads share both safely. Every call allocates its own
-``BN_CTX`` scratch space and BIGNUMs and frees them before it returns.
+``BN_CTX`` scratch space and BIGNUMs, or its own ``EVP_CIPHER_CTX``, and frees
+them before it returns.
 """
 
 from __future__ import annotations
@@ -42,7 +45,12 @@ for _name, _restype, _argtypes in (
         ("BN_from_montgomery", _int, [_ptr] * 4),
         ("BN_mod_mul_montgomery", _int, [_ptr] * 5),
         ("BN_mod_exp_mont", _int, [_ptr] * 6),
-        ("BN_mod_exp2_mont", _int, [_ptr] * 8)):
+        ("BN_mod_exp2_mont", _int, [_ptr] * 8),
+        ("EVP_aes_128_ctr", _ptr, []),
+        ("EVP_CIPHER_CTX_new", _ptr, []),
+        ("EVP_CIPHER_CTX_free", None, [_ptr]),
+        ("EVP_EncryptInit_ex", _int, [_ptr] * 5),
+        ("EVP_EncryptUpdate", _int, [_ptr] * 4 + [_int])):
     _fn = getattr(lib, _name)
     _fn.restype, _fn.argtypes = _restype, _argtypes
 del _name, _restype, _argtypes, _fn
@@ -194,3 +202,27 @@ def fixed_base_exp(g: int, e: int, m: int, bits: int) -> int:
         with _tables_lock:
             table = _tables.get(key) or _tables.setdefault(key, _Table(g, m, bits))
     return table(e)
+
+
+def aes128_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """``data`` XOR the AES-128-CTR keystream of ``key`` from the initial
+    counter block ``iv``, which counts as one big-endian 128-bit integer;
+    encryption and decryption are the same call.
+
+    libcrypto reads 16 bytes through each of ``key`` and ``iv``, so any other
+    length is refused here.
+    """
+    if len(key) != 16 or len(iv) != 16:
+        raise ValueError("aes128_ctr takes a 16-byte key and a 16-byte iv")
+    n = len(data)
+    out, outl = ctypes.create_string_buffer(n), ctypes.c_int()
+    ctx = lib.EVP_CIPHER_CTX_new()
+    try:
+        if not (ctx and lib.EVP_EncryptInit_ex(ctx, lib.EVP_aes_128_ctr(), None,
+                                               key, iv)
+                and lib.EVP_EncryptUpdate(ctx, out, ctypes.byref(outl), data, n)
+                and outl.value == n):
+            raise MemoryError("libcrypto AES-128-CTR failed")
+        return out.raw
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)

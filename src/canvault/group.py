@@ -16,8 +16,8 @@ Every group power is one call of the group's backend, :attr:`Group._powers`:
 any other base) or ``mod_exp2`` (a double power ``a^x b^y``). A modulus of
 512 bits or more takes the Montgomery powers of the libcrypto that CPython's
 ``ssl`` module links (``canvault._libcrypto``), the generator's from a
-fixed-window table of its precomputed powers. A smaller modulus, or any modulus where that library
-cannot be loaded, takes builtin ``pow``.
+fixed-window table of its precomputed powers. A smaller modulus takes builtin
+``pow``.
 """
 
 from __future__ import annotations
@@ -91,19 +91,17 @@ class Group:
     @cached_property
     def _powers(self):
         """This group's backend: ``canvault._libcrypto`` for a modulus of
-        :data:`_LIBCRYPTO_MIN_BITS` or more where that library loads, else
-        :class:`_BuiltinPowers`.
+        :data:`_LIBCRYPTO_MIN_BITS` or more, else :class:`_BuiltinPowers`.
 
         Resolved on the group's first power, so ``ctypes`` and libcrypto load
-        then, never at import or in :func:`get_group`.
+        then, never at import or in :func:`get_group`. Where that library
+        cannot be loaded, the first power raises its import error: a run
+        needs it for AES-CTR anyway.
         """
-        if self.modulus.bit_length() >= _LIBCRYPTO_MIN_BITS:
-            try:
-                from . import _libcrypto
-                return _libcrypto
-            except (ImportError, OSError, AttributeError):
-                pass
-        return _BuiltinPowers
+        if self.modulus.bit_length() < _LIBCRYPTO_MIN_BITS:
+            return _BuiltinPowers
+        from . import _libcrypto
+        return _libcrypto
 
     @property
     def identity(self) -> GroupElement:

@@ -19,15 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
 
 from . import primitives
 from .errors import ConsistencyError, DecodeError
 from .group import Group, GroupElement
-
-# Tests may inject a stand-in exponent hash to force specific traces;
-# protocol wiring always passes None and gets the real one.
-ScalarHash = Callable[[GroupElement], int]
 
 PAIRWISE_KEY_LEN = 32
 
@@ -82,15 +77,12 @@ def encapsulate(
     group: Group,
     public: tuple[GroupElement, GroupElement],
     rng: Random,
-    scalar_hash: Optional[ScalarHash] = None,
 ) -> tuple[bytes, KemCiphertext]:
     """Produce (shared key, ciphertext) under the receiver's public pair."""
-    if scalar_hash is None:
-        scalar_hash = lambda e: primitives.hash_to_scalar(group, e)
     u, v = public
     r = group.random_scalar(rng)
     c = group.exp(group.generator, r)
-    t = scalar_hash(c)
+    t = primitives.hash_to_scalar(group, c)
     shared = group.exp(u, r)
     # (u^t v)^r == (u^r)^t v^r for any u, v, and u^r is needed anyway.
     binding = group.exp2(shared, t, v, r)
@@ -98,22 +90,15 @@ def encapsulate(
     return key, KemCiphertext(ephemeral=c, binding=binding)
 
 
-def decapsulate(
-    group: Group,
-    keypair: EcuKeyPair,
-    ct: KemCiphertext,
-    scalar_hash: Optional[ScalarHash] = None,
-) -> bytes:
+def decapsulate(group: Group, keypair: EcuKeyPair, ct: KemCiphertext) -> bytes:
     """Recover the shared key, rejecting inconsistent ciphertexts.
 
     Raises:
         ConsistencyError: the binding element does not match the one implied
             by the keypair, i.e. the ciphertext was forged or mauled.
     """
-    if scalar_hash is None:
-        scalar_hash = lambda e: primitives.hash_to_scalar(group, e)
     c = ct.ephemeral
-    t = scalar_hash(c)
+    t = primitives.hash_to_scalar(group, c)
     # Exponents act modulo the group order, so reduce the combined exponent.
     expected = group.exp(c, (keypair.key_exp * t + keypair.bind_exp) % group.order)
     if expected != ct.binding:

@@ -1,9 +1,11 @@
 """Deterministic symmetric primitives for the key distribution phases.
 
 SHA-256 and HMAC come from the standard library, HKDF is the usual
-extract-and-expand construction on top of HMAC-SHA256, and the AES-128 core
-is provided by the ``cryptography`` package. Everything here is a pure
-function; all of it is pinned by published test vectors in the test suite.
+extract-and-expand construction on top of HMAC-SHA256, and AES-128-CTR is
+``canvault._libcrypto.aes128_ctr``, on the libcrypto that CPython's ``ssl``
+module links. That module, and ``ctypes`` with it, loads on the first AES
+call, never at import. Everything here is a pure function; all of it is
+pinned by published test vectors in the test suite.
 
 Key lengths are enforced at the call boundary: encryption keys are 16 bytes,
 MAC keys 32 bytes. Handing the wrong role to a function is a bug, not a
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from functools import cache
 
 from .errors import DecryptError
 from .group import Group, GroupElement
@@ -102,9 +103,15 @@ def hmac_verify(msg: bytes, key: bytes, tag: bytes) -> bool:
     return _hmac.compare_digest(hmac_tag(msg, key), tag)
 
 
+@cache
+def _aes128_ctr():
+    """``canvault._libcrypto.aes128_ctr``, imported on the first call."""
+    from ._libcrypto import aes128_ctr
+    return aes128_ctr
+
+
 def _ctr_stream(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
-    return enc.update(data) + enc.finalize()
+    return _aes128_ctr()(key, nonce, data)
 
 
 def sym_encrypt(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:

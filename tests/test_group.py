@@ -55,10 +55,7 @@ def big():
 
 @pytest.fixture(scope="module")
 def libcrypto():
-    try:
-        from canvault import _libcrypto
-    except (ImportError, OSError, AttributeError):
-        pytest.skip("libcrypto cannot be loaded on this host")
+    from canvault import _libcrypto
     return _libcrypto
 
 
@@ -373,24 +370,30 @@ def test_unknown_group_name():
         get_group("nope")
 
 
-def test_each_group_picks_its_backend_from_its_modulus():
-    try:
-        from canvault import _libcrypto as large
-    except (ImportError, OSError, AttributeError):
-        large = _BuiltinPowers
+def test_each_group_picks_its_backend_from_its_modulus(libcrypto):
     assert get_group("toy23")._powers is _BuiltinPowers
-    assert get_group("schnorr256")._powers is large
+    assert get_group("schnorr256")._powers is libcrypto
     # Any prime m has the order-2 subgroup {1, m - 1}.
-    for bits, backend in ((511, _BuiltinPowers), (512, large)):
+    for bits, backend in ((511, _BuiltinPowers), (512, libcrypto)):
         m = sympy.prevprime(2 ** bits)
         assert Group("edge", modulus=m, order=2, generator=m - 1)._powers \
             is backend, bits
 
 
+def test_large_group_without_libcrypto_raises(monkeypatch):
+    # No fallback to builtin pow: a broken install fails the first power.
+    monkeypatch.delattr(canvault, "_libcrypto", raising=False)
+    monkeypatch.setitem(sys.modules, "canvault._libcrypto", None)
+    m = sympy.prevprime(2 ** 512)
+    grp = Group("edge", modulus=m, order=2, generator=m - 1)
+    with pytest.raises(ImportError):
+        grp.exp(GroupElement(3), 2)
+
+
 class TestPowmodBackend:
     """The single and double powers of schnorr256's backend (libcrypto's
-    ``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` where that library loads)
-    against builtin ``pow``, on both groups' moduli."""
+    ``BN_mod_exp_mont`` and ``BN_mod_exp2_mont``) against builtin ``pow``, on
+    both groups' moduli."""
 
     @pytest.fixture(scope="class")
     def powmod(self):
@@ -430,21 +433,27 @@ class TestPowmodBackend:
 
 BACKEND_LOAD_PROBE = """
 import sys
-from canvault.group import GroupElement, get_group
+from canvault.group import GroupElement, _BuiltinPowers, get_group
 from canvault.harness import ScenarioConfig, run_scenario
 
-run_scenario(ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3}))
-if "ctypes" in sys.modules or "canvault._libcrypto" in sys.modules:
-    sys.exit("a toy23 run loaded libcrypto")
-grp = get_group("schnorr256")
+toy, grp = get_group("toy23"), get_group("schnorr256")
+toy_cfg = ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3})
 ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
-if "ctypes" in sys.modules or "canvault._libcrypto" in sys.modules:
-    sys.exit("libcrypto loaded before the first group power")
+loaded = [m for m in ("ctypes", "canvault._libcrypto", "cryptography")
+          if m in sys.modules]
+if loaded:
+    sys.exit(f"setup loaded {loaded}")
+run_scenario(toy_cfg)
+_libcrypto = sys.modules.get("canvault._libcrypto")
+if _libcrypto is None:
+    sys.exit("a toy23 run's AES-CTR did not run on libcrypto")
+if _libcrypto._tables:
+    sys.exit("a toy23 run built a fixed-base table")
+if toy._powers is not _BuiltinPowers:
+    sys.exit(f"toy23 powers on {toy._powers}")
+if "cryptography" in sys.modules:
+    sys.exit("a toy23 run loaded cryptography")
 grp.exp(GroupElement(3), 5)
-try:
-    from canvault import _libcrypto
-except (ImportError, OSError, AttributeError):
-    sys.exit(0)
 if _libcrypto._tables:
     sys.exit("table built before the first generator power")
 grp.exp(grp.generator, 5)
@@ -454,10 +463,11 @@ if list(_libcrypto._tables) != [(grp.generator.value, grp.modulus, 256)]:
 
 
 def test_backend_loads_on_first_power_not_at_import():
-    # A whole toy23 run never loads ctypes, _ssl and libcrypto. Importing
-    # canvault, building a group and parsing a config (setup_s in perfbench)
-    # must not pay for loading them either, nor for the generator's table,
-    # which waits for the first generator power.
+    # Importing canvault, building both groups and parsing a config (setup_s
+    # in perfbench) load neither ctypes, libcrypto nor cryptography. A toy23
+    # run then loads libcrypto for its AES-CTR only: its powers stay on
+    # builtin pow and it builds no table. schnorr256's generator table waits
+    # for its first generator power. No run loads cryptography.
     src = Path(canvault.group.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})

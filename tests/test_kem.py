@@ -42,7 +42,9 @@ class TestForcedToyTrace:
     """Forcing x=3, y=5, r=4 and the exponent hash to 7 pins every
     intermediate value of one encapsulation/decapsulation round trip."""
 
-    FORCED_HASH = staticmethod(lambda e: 7)
+    @pytest.fixture(autouse=True)
+    def forced_hash(self, monkeypatch):
+        monkeypatch.setattr(primitives, "hash_to_scalar", lambda group, e: 7)
 
     def keypair(self, toy):
         return kem.keygen(toy, ecu_id=0, rng=ScriptedRng([3, 5]))
@@ -55,8 +57,7 @@ class TestForcedToyTrace:
 
     def test_encapsulation_values(self, toy):
         kp = self.keypair(toy)
-        key, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]),
-                                  scalar_hash=self.FORCED_HASH)
+        key, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
         # u^7 = 8^7 = 12; 12*9 = 16; 16^4 = 9; u^4 = 8^4 = 2
         assert ct.ephemeral == GroupElement(16)
         assert ct.binding == GroupElement(9)
@@ -64,19 +65,17 @@ class TestForcedToyTrace:
 
     def test_decapsulation_matches(self, toy):
         kp = self.keypair(toy)
-        key, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]),
-                                  scalar_hash=self.FORCED_HASH)
+        key, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
         # combined exponent: 3*7 + 5 = 26 = 4 mod 11; 16^4 = 9 = binding
-        out = kem.decapsulate(toy, kp, ct, scalar_hash=self.FORCED_HASH)
+        out = kem.decapsulate(toy, kp, ct)
         assert out == key == primitives.hash_to_key(toy, GroupElement(2))
 
     def test_perturbed_binding_rejected(self, toy):
         kp = self.keypair(toy)
-        _, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]),
-                                scalar_hash=self.FORCED_HASH)
+        _, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
         bad = kem.KemCiphertext(ct.ephemeral, toy.mul(ct.binding, toy.generator))
         with pytest.raises(ConsistencyError):
-            kem.decapsulate(toy, kp, bad, scalar_hash=self.FORCED_HASH)
+            kem.decapsulate(toy, kp, bad)
 
 
 class TestToyExhaustive:

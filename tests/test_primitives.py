@@ -6,14 +6,32 @@ here.
 """
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvault import primitives as prim
+from canvault._libcrypto import aes128_ctr
 from canvault.errors import DecryptError
 from canvault.group import GroupElement, get_group
+
+# CTR bodies at and around AES block edges (48 is three blocks) and one
+# frame's 60 data bytes.
+BODY_LENGTHS = (0, 1, 15, 16, 17, 48, 60, 61)
+# Counter blocks whose increment wraps all 128 bits, or carries from the
+# low 64 bits into the high 64.
+WRAP_NONCES = (b"\xff" * 16, bytes(8) + b"\xff" * 8)
+blocks = st.binary(min_size=16, max_size=16)
+
+
+def oracle_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """AES-128-CTR from the ``cryptography`` package, the tests' oracle."""
+    enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+    return enc.update(data) + enc.finalize()
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +259,48 @@ class TestSymmetricCipher:
             prim.sym_encrypt(b"x", b"k" * 32, b"n" * 16)   # MAC key in enc slot
         with pytest.raises(ValueError):
             prim.sym_encrypt(b"x", b"k" * 16, b"n" * 8)
+
+
+class TestCtrAgainstOracle:
+    """libcrypto's AES-128-CTR, through ``sym_encrypt`` and ``sym_decrypt``,
+    against the ``cryptography`` package."""
+
+    @staticmethod
+    def check(key: bytes, nonce: bytes, body: bytes):
+        wrapped = prim.sym_encrypt(body, key, nonce)
+        assert wrapped == nonce + oracle_ctr(key, nonce, body)
+        assert prim.sym_decrypt(wrapped, key) == body
+
+    @pytest.mark.parametrize("length", BODY_LENGTHS)
+    def test_body_lengths(self, length):
+        rng = Random(length)
+        for _ in range(20):
+            self.check(rng.randbytes(16), rng.randbytes(16), rng.randbytes(length))
+
+    @pytest.mark.parametrize("nonce", WRAP_NONCES, ids=["wrap128", "carry64"])
+    @pytest.mark.parametrize("length", BODY_LENGTHS + (200,))
+    def test_counter_wrap_and_carry(self, nonce, length):
+        rng = Random(length)
+        self.check(rng.randbytes(16), nonce, rng.randbytes(length))
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=blocks, nonce=blocks, body=st.binary(max_size=200))
+    @example(key=bytes(16), nonce=WRAP_NONCES[0], body=bytes(200))
+    @example(key=bytes(16), nonce=WRAP_NONCES[1], body=bytes(200))
+    def test_draws(self, key, nonce, body):
+        self.check(key, nonce, body)
+
+    @pytest.mark.parametrize("key_len, iv_len",
+                             [(15, 16), (17, 16), (32, 16), (16, 15), (16, 17)])
+    def test_refuses_other_key_and_iv_lengths(self, key_len, iv_len):
+        with pytest.raises(ValueError):
+            aes128_ctr(bytes(key_len), bytes(iv_len), b"data")
+
+    def test_threads_match_serial(self):
+        rng = Random(4)
+        jobs = [(rng.randbytes(16), rng.randbytes(16), rng.randbytes(rng.randrange(201)))
+                for _ in range(2000)]
+        serial = [aes128_ctr(*job) for job in jobs]
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(lambda job: aes128_ctr(*job), jobs)) == serial
+        assert serial[:50] == [oracle_ctr(*job) for job in jobs[:50]]

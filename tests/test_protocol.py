@@ -191,7 +191,7 @@ class TestReceivePathEquivalence:
 
 @pytest.mark.usefixtures("builtin_pow")
 class TestReceivePathEquivalenceUnderBuiltinPow(TestReceivePathEquivalence):
-    """The same equivalence on the builtin ``pow`` fallback."""
+    """The same equivalence with every group power on builtin ``pow``."""
 
 
 class TestPhase3:
