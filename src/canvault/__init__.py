@@ -8,12 +8,11 @@ The whole exchange runs over a deterministic discrete-event CAN-FD bus so
 message counts and phase timings are reproducible.
 """
 
-from .bus import SimReport
 from .errors import (CanvaultError, ConfigError, ConsistencyError,
                      DeadlockError, DecodeError, DecryptError, DomainError,
                      RunCheckError, StateError)
 from .group import Group, GroupElement, get_group
-from .harness import ScenarioConfig, Scheme, comparison_ratios, \
+from .harness import ScenarioConfig, Scheme, SimReport, comparison_ratios, \
     expected_messages, run_scenario
 
 __version__ = "0.1.0"

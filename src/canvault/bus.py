@@ -7,28 +7,34 @@ Models the pieces of the bus that matter for protocol accounting:
 * ID-based arbitration: when several frames wait for the bus, the lowest
   CAN id transmits first, ties broken by the order they became ready,
 * transmission time from a configurable bitrate and flat per-frame overhead,
-* per-node compute latency charged per cryptographic operation, as the
-  protocol lists them per message kind and rotation, so phase durations
-  reflect the configured hardware class,
+* acceptance filtering: each node declares the (kind, receiver) streams it
+  listens to, as a CAN controller filters by id, and the bus hands a
+  message only to the listeners of its stream,
+* per-node compute latency charged per cryptographic operation: a sender
+  pays its message kind's ops, and a listener the ops its handler or its
+  data-frame hook reports, so phase durations reflect the configured
+  hardware class,
 * an adversary that can tamper frames in flight, replay captured messages,
   and forge new ones.
 
-Everything is driven by one event heap of frames ordered by (time,
-insertion serial), so a (config, seed) pair fully determines the run.
+The bus knows no protocol rule beyond each kind's send cost: any node that
+declares its streams and answers :class:`Machine`'s calls can join. Everything
+is driven by one event heap of frames ordered by (time, insertion serial), so
+a (config, seed) pair fully determines the run.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
-import json
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional, Protocol, Union
 
 from .errors import ConfigError
-from .protocol import (MESSAGE_OPS, ROTATION_OPS, SECU_ID, Disposition, Ecu,
-                       MsgKind, Secu, WireMessage)
+from .protocol import ANY_RECEIVER, MESSAGE_OPS, MsgKind, WireMessage
 
 _FRAG_HEADER = struct.Struct(">HBB")     # msg_seq, frag_index, frag_total
 FRAG_HEADER_LEN = _FRAG_HEADER.size
@@ -173,41 +179,22 @@ class ForgeAction:
     at_us: int = 0
 
 
-@dataclass
-class SimReport:
-    """Metrics of one simulation run. All fields are JSON-plain types so the
-    report round-trips losslessly through its JSON form."""
+class Machine(Protocol):
+    """A node's state machine, as the bus calls it.
 
-    group: str = ""
-    n_ecus: int = 0
-    rng_seed: int = 0
-    latency_profile: str = ""
-    logical_messages: int = 0
-    frames: int = 0
-    data_frames: int = 0
-    refresh_events: int = 0
-    phase_times: dict = field(default_factory=dict)
-    rejections: list = field(default_factory=list)
-    converged: dict = field(default_factory=dict)
-    partially_keyed: bool = False
-    expected_messages: int = 0
-    checks: dict = field(default_factory=dict)
-    comparison: list = field(default_factory=list)
-    computation_tally_us: dict = field(default_factory=dict)
+    ``streams`` holds the (kind, receiver) pairs the node's acceptance filter
+    passes; kind None is the data frames, and receiver ``ANY_RECEIVER``
+    passes a kind whatever the frame's receiver field says. ``handle``
+    returns an outcome with ``ops``, ``rejected`` and ``reason``, and
+    ``on_data_frame`` the ops it ran; the bus charges both.
+    """
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    node_id: int
+    streams: tuple[tuple, ...]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimReport":
-        return cls(**data)
+    def handle(self, msg: WireMessage): ...
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        return cls.from_dict(json.loads(text))
+    def on_data_frame(self) -> tuple[str, ...]: ...
 
 
 @dataclass
@@ -215,12 +202,15 @@ class _Node:
     node_id: int
     can_id: int
     node_class: str             # "secu" or "ecu"
-    machine: Union[Secu, Ecu]
+    machine: Machine
     busy_until: int = 0
 
     @property
     def label(self) -> str:
         return "secu" if self.node_class == "secu" else f"ecu{self.node_id}"
+
+
+_node_id = attrgetter("node_id")
 
 
 class Network:
@@ -233,6 +223,7 @@ class Network:
         self.sent: list[CanFdFrame] = []    # every frame, in transmission order
         self.rejections: list[dict] = []
         self._nodes: dict[int, _Node] = {}
+        self._listeners: dict[tuple, list[_Node]] = {}  # stream -> nodes by id
         self._heap: list = []
         self._serial = 0
         self._pending: list = []            # (can_id, serial, frame)
@@ -246,17 +237,35 @@ class Network:
 
     # -- topology ---------------------------------------------------------
 
-    def add_secu(self, machine: Secu) -> None:
-        self._add_node(_Node(SECU_ID, SECU_CAN_ID, "secu", machine))
+    def add_secu(self, machine: Machine) -> None:
+        self._add_node(_Node(machine.node_id, SECU_CAN_ID, "secu", machine))
 
-    def add_ecu(self, machine: Ecu, can_id: Optional[int] = None) -> None:
-        cid = ECU_CAN_BASE + machine.ecu_id if can_id is None else can_id
-        self._add_node(_Node(machine.ecu_id, cid, "ecu", machine))
+    def add_ecu(self, machine: Machine, can_id: Optional[int] = None) -> None:
+        node_id = machine.node_id
+        cid = ECU_CAN_BASE + node_id if can_id is None else can_id
+        self._add_node(_Node(node_id, cid, "ecu", machine))
 
     def _add_node(self, node: _Node) -> None:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
+        for stream in node.machine.streams:
+            listeners = self._listeners.setdefault(stream, [])
+            # Nodes usually join in id order; only a late lower id is sorted in.
+            if listeners and listeners[-1].node_id > node.node_id:
+                bisect.insort(listeners, node, key=_node_id)
+            else:
+                listeners.append(node)
+
+    def _listening(self, kind: Optional[MsgKind],
+                   receiver: Optional[int]) -> list[_Node]:
+        """The nodes whose filter passes a (kind, receiver) frame, by id."""
+        exact = self._listeners.get((kind, receiver), [])
+        wild = self._listeners.get((kind, ANY_RECEIVER), [])
+        if not (exact and wild):
+            return exact or wild
+        merged = {node.node_id: node for node in exact + wild}
+        return [merged[i] for i in sorted(merged)]
 
     @property
     def frames(self) -> int:
@@ -280,7 +289,7 @@ class Network:
         """Run ops on a node once it is free; returns when it is free again."""
         table = self.latency[node.node_class]
         node.busy_until = max(self.now, node.busy_until) + \
-            sum(table[op] for op in ops)
+            sum(map(table.__getitem__, ops))
         return node.busy_until
 
     def schedule_protocol_send(self, sender_id: int,
@@ -363,12 +372,14 @@ class Network:
     def _on_tx_done(self, frame: CanFdFrame) -> None:
         self._transmitting = None
         if frame.kind is None:
-            for node_id in sorted(self._nodes):
-                self._tick_node(self._nodes[node_id])
+            # Every data-frame listener counts the frame, its sender too.
+            for node in self._listening(None, frame.receiver):
+                ops = node.machine.on_data_frame()
+                if ops:
+                    self._work(node, ops)
             return
-        # Reassemble each set once and hand it to the nodes whose acceptance
-        # filter passes it: a seed to every node but its sender, whatever its
-        # receiver says, and any other kind to its receiver alone.
+        # Reassemble each set once and hand it to every node but its origin
+        # whose acceptance filter passes it.
         key = (frame.sender, frame.msg_seq)
         parts = self._partial.setdefault(key, {})
         parts[frame.frag_index] = frame
@@ -378,33 +389,20 @@ class Network:
             # frames under one CAN id leave arbitration in readiness order,
             # so a complete set always reassembles.
             msg = reassemble(list(parts.values()))
-            if msg.kind is MsgKind.SEED_BROADCAST:
-                for node_id in sorted(self._nodes):
-                    if node_id != frame.origin:
-                        self._dispatch(self._nodes[node_id], msg)
-            elif msg.receiver in self._nodes:
-                self._dispatch(self._nodes[msg.receiver], msg)
+            for node in self._listening(msg.kind, msg.receiver):
+                if node.node_id != frame.origin:
+                    self._dispatch(node, msg)
         if frame.frag_index == frame.frag_total - 1:
             for copies, delay in self._captures.pop(
                     (frame.origin, frame.msg_seq), ()):
                 for f in copies:
                     self._schedule(f, self.now + delay)
 
-    def _tick_node(self, node: _Node) -> None:
-        machine = node.machine
-        if not isinstance(machine, Ecu) or machine.session is None:
-            return
-        if machine.tick_counter():
-            self._work(node, ROTATION_OPS)
-
     def _dispatch(self, node: _Node, msg: WireMessage) -> None:
         # State commits in delivery order; busy_until only accounts for the
-        # compute time until the node's result is ready. Messages a node
-        # ignores cost nothing, mirroring hardware id filtering.
+        # compute time until the node's result is ready.
         outcome = node.machine.handle(msg)
-        if outcome.disposition is Disposition.IGNORED:
-            return
-        finish = self._work(node, MESSAGE_OPS[msg.kind])
+        finish = self._work(node, outcome.ops)
         if outcome.rejected:
             self.rejections.append({
                 "time_us": finish, "node": node.label,

@@ -70,7 +70,6 @@ class Group:
         modulus: prime defining the ambient field Z*_modulus.
         order: prime order of the cyclic subgroup; exponents live mod this.
         generator: fixed generator of the subgroup.
-        security_bits: k such that 2^k < order < 2^(k+1).
         element_len: byte length of the fixed-width element encoding.
     """
 
@@ -78,7 +77,6 @@ class Group:
         self.name = name
         self.modulus = modulus
         self.order = order
-        self.security_bits = order.bit_length() - 1
         self.element_len = (modulus.bit_length() + 7) // 8
         self.generator = GroupElement(generator % modulus)
         self._half = (order.bit_length() + 1) // 2     # split point, see _pow
@@ -102,10 +100,6 @@ class Group:
             return _BuiltinPowers
         from . import _libcrypto
         return _libcrypto
-
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(1)
 
     def is_member(self, e: GroupElement) -> bool:
         """True iff ``e`` is a reduced member of the order-p subgroup."""
@@ -155,9 +149,6 @@ class Group:
                                          base.high, e >> h, self.modulus)
         return self._powers.mod_exp(base.value, e, self.modulus)
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement((a.value * b.value) % self.modulus)
-
     def random_scalar(self, rng: Random) -> int:
         """Uniform nonzero exponent in [1, order)."""
         return rng.randrange(1, self.order)
@@ -204,18 +195,6 @@ class Group:
     def element_hex(self, e: GroupElement) -> str:
         """Keyfile text form: lower-case hex, no prefix, no leading zeros."""
         return f"{e.value:x}"
-
-    def elements(self) -> list[GroupElement]:
-        """Every subgroup member, by enumerating generator powers.
-
-        Only sensible for the toy instantiation; used by exhaustive tests.
-        """
-        out = []
-        cur = self.identity
-        for _ in range(self.order):
-            out.append(cur)
-            cur = self.mul(cur, self.generator)
-        return out
 
 
 # 2048-bit modulus with a 256-bit prime-order subgroup. The constants were

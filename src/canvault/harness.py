@@ -3,9 +3,9 @@
 A scenario builds a network from a validated config, drives the protocol
 through its bus phases stage by stage (each stage runs to quiescence before
 the next begins, since the central node never waits for per-unit acks), then
-attaches the closed-form expectations: the 2N+1 message budget, the message
-counts of two competing schemes, and per-scheme computation tallies under
-the active latency profile.
+fills a :class:`SimReport` with the run's metrics and the closed-form
+expectations: the 2N+1 message budget, the message counts of two competing
+schemes, and per-scheme computation tallies under the active latency profile.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import kem
 from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
                   MAX_MSG_SEQ, BusConfig, ForgeAction, Network, ReplayAction,
-                  SimReport, TamperAction, fragment, fragment_count,
-                  frame_time_us)
+                  TamperAction, fragment, fragment_count, frame_time_us)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, MESSAGE_OPS, \
@@ -91,19 +90,6 @@ def computation_tally_us(scheme: Scheme, op_latency: dict[str, int]) -> Optional
             return None
         total += count * op_latency[op]
     return total
-
-
-def affine_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least-squares line a + b*x; returns (a, b, max relative residual)."""
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    b = sxy / sxx
-    a = mean_y - b * mean_x
-    max_rel = max(abs(a + b * x - y) / y for x, y in zip(xs, ys))
-    return a, b, max_rel
 
 
 # -- scenario configuration -------------------------------------------------
@@ -372,6 +358,43 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
 
 
 # -- scenario execution -------------------------------------------------------
+
+@dataclass
+class SimReport:
+    """Metrics of one simulation run. All fields are JSON-plain types so the
+    report round-trips losslessly through its JSON form."""
+
+    group: str = ""
+    n_ecus: int = 0
+    rng_seed: int = 0
+    latency_profile: str = ""
+    logical_messages: int = 0
+    frames: int = 0
+    data_frames: int = 0
+    refresh_events: int = 0
+    phase_times: dict = field(default_factory=dict)
+    rejections: list = field(default_factory=list)
+    converged: dict = field(default_factory=dict)
+    partially_keyed: bool = False
+    expected_messages: int = 0
+    checks: dict = field(default_factory=dict)
+    comparison: list = field(default_factory=list)
+    computation_tally_us: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimReport":
+        return cls(**data)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimReport":
+        return cls.from_dict(json.loads(text))
+
 
 def _honest_frame_count(group: Group, n: int) -> int:
     per_kind = {

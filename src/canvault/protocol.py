@@ -18,12 +18,14 @@ The classes here are pure state machines: they consume and produce
 :class:`WireMessage` objects and know nothing about frames or timing. A
 rejected message never raises out of a handler; handlers return an
 :class:`Outcome` with a reason code so a node keeps running after a bad
-frame.
+frame. Each node declares the message streams its acceptance filter passes,
+and each outcome carries the ops its handling cost, which the bus charges.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
@@ -35,6 +37,7 @@ from .group import Group, GroupElement
 
 SECU_ID = -1            # node id of the central security unit
 BROADCAST = None        # receiver value for broadcast messages
+ANY_RECEIVER = "*"      # filter wildcard: a stream whatever its receiver field
 
 GROUP_SECRET_LEN = 16
 SEED_LEN = 16
@@ -84,15 +87,22 @@ MESSAGE_OPS: dict[MsgKind, tuple[str, ...]] = {
 ROTATION_OPS = ("hkdf",)    # one silent key rotation in Ecu.tick_counter
 
 
+# The (kind, receiver) streams an acceptance filter passes whatever the
+# receiver field says: every seed, and every plain data frame (kind None).
+SEEDS = (MsgKind.SEED_BROADCAST, ANY_RECEIVER)
+DATA_FRAMES = (None, ANY_RECEIVER)
+
+
 class Disposition(enum.Enum):
     ACCEPTED = "accepted"
-    IGNORED = "ignored"      # not addressed to this node / not relevant
+    IGNORED = "ignored"      # passed the filter but not relevant in this phase
     REJECTED = "rejected"    # failed a check; state unchanged
 
 
 @dataclass(frozen=True)
 class Outcome:
     disposition: Disposition
+    ops: tuple[str, ...]            # what handling the message cost the node
     reason: Optional[str] = None    # reason code when rejected
 
     @property
@@ -104,12 +114,22 @@ class Outcome:
         return self.disposition is Disposition.REJECTED
 
 
-_ACCEPTED = Outcome(Disposition.ACCEPTED)
-_IGNORED = Outcome(Disposition.IGNORED)
+_IGNORED = Outcome(Disposition.IGNORED, ())
 
 
-def _rejected(reason: str) -> Outcome:
-    return Outcome(Disposition.REJECTED, reason)
+@functools.cache
+def _accepted_at(ops: tuple[str, ...]) -> Outcome:
+    return Outcome(Disposition.ACCEPTED, ops)
+
+
+# The op lists are read on each call, so a patched list is charged at once;
+# the acceptance for each list is built once and shared.
+def _accepted(msg: WireMessage) -> Outcome:
+    return _accepted_at(MESSAGE_OPS[msg.kind])
+
+
+def _rejected(msg: WireMessage, reason: str) -> Outcome:
+    return Outcome(Disposition.REJECTED, MESSAGE_OPS[msg.kind], reason)
 
 
 class Phase(enum.IntEnum):
@@ -171,8 +191,11 @@ class Secu:
     """Central security unit: drives phases 2 and 3, observes phase 4.
 
     The phase attribute only ever advances: INIT -> PAIRWISE -> GROUP_SECRET
-    -> DONE.
+    -> DONE. Its acceptance filter passes seeds only.
     """
+
+    node_id = SECU_ID
+    streams = (SEEDS,)
 
     def __init__(self, group: Group,
                  registry: list[tuple[int, tuple[GroupElement, GroupElement]]]):
@@ -216,19 +239,18 @@ class Secu:
         return msgs
 
     def handle(self, msg: WireMessage) -> Outcome:
-        """Observe bus traffic; only the seed broadcast matters here."""
-        if msg.kind is not MsgKind.SEED_BROADCAST:
-            return _IGNORED
+        """Observe a seed broadcast; outside phase 3's wait for it, the seed
+        is ignored at no cost."""
         if self.phase is not Phase.GROUP_SECRET:
             return _IGNORED
         if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
-            return _rejected("decode")
+            return _rejected(msg, "decode")
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
         _, mac_key = _session_keys(self.group_secret)
         if not primitives.hmac_verify(seed, mac_key, tag):
-            return _rejected("mac")
+            return _rejected(msg, "mac")
         self.phase = Phase.DONE
-        return _ACCEPTED
+        return _accepted(msg)
 
 
 class Ecu:
@@ -249,6 +271,17 @@ class Ecu:
     def ecu_id(self) -> int:
         return self.keypair.ecu_id
 
+    node_id = ecu_id        # the unit's id on the bus
+
+    @property
+    def streams(self) -> tuple[tuple, ...]:
+        """The (kind, receiver) streams the unit's acceptance filter passes:
+        its own pairwise ciphertext and group secret, every seed, and every
+        data frame (kind None)."""
+        own = self.ecu_id
+        return ((MsgKind.PAIRWISE_CIPHER, own), (MsgKind.GROUP_SECRET, own),
+                SEEDS, DATA_FRAMES)
+
     def handle(self, msg: WireMessage) -> Outcome:
         if msg.kind is MsgKind.PAIRWISE_CIPHER:
             return self.handle_pairwise(msg)
@@ -257,33 +290,29 @@ class Ecu:
         return self.handle_seed(msg)
 
     def handle_pairwise(self, msg: WireMessage) -> Outcome:
-        if msg.receiver != self.ecu_id:
-            return _IGNORED
         try:
             key = kem.open_ciphertext(self.group, self.keypair, msg.body)
         except DecodeError:
-            return _rejected("decode")
+            return _rejected(msg, "decode")
         except ConsistencyError:
-            return _rejected("consistency")
+            return _rejected(msg, "consistency")
         self.pairwise = key
-        return _ACCEPTED
+        return _accepted(msg)
 
     def handle_group_secret(self, msg: WireMessage) -> Outcome:
-        if msg.receiver != self.ecu_id:
-            return _IGNORED
         if self.pairwise is None:
-            return _rejected("state")
+            return _rejected(msg, "state")
         if len(msg.body) != body_length(self.group, MsgKind.GROUP_SECRET):
-            return _rejected("decode")
+            return _rejected(msg, "decode")
         wrapped, tag = msg.body[:-MAC_LEN], msg.body[-MAC_LEN:]
         if tag in self.replay_cache:
-            return _rejected("replay")
+            return _rejected(msg, "replay")
         enc_key, mac_key = primitives.hkdf_split(self.pairwise, _SPLIT_GROUP_INFO)
         if not primitives.hmac_verify(wrapped, mac_key, tag):
-            return _rejected("mac")
+            return _rejected(msg, "mac")
         self.group_secret = primitives.sym_decrypt(wrapped, enc_key)
         self.replay_cache.add(tag)
-        return _ACCEPTED
+        return _accepted(msg)
 
     def run_phase4(self, rng: Random) -> WireMessage:
         """Broadcast a fresh authenticated seed and key round 0 locally."""
@@ -301,18 +330,26 @@ class Ecu:
 
     def handle_seed(self, msg: WireMessage) -> Outcome:
         if self.group_secret is None:
-            return _rejected("state")
+            return _rejected(msg, "state")
         if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
-            return _rejected("decode")
+            return _rejected(msg, "decode")
         seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
         if tag in self.replay_cache:
-            return _rejected("replay")
+            return _rejected(msg, "replay")
         chain_key, mac_key = _session_keys(self.group_secret)
         if not primitives.hmac_verify(seed, mac_key, tag):
-            return _rejected("mac")
+            return _rejected(msg, "mac")
         self.session = _first_round(seed, chain_key)
         self.replay_cache.add(tag)
-        return _ACCEPTED
+        return _accepted(msg)
+
+    def on_data_frame(self) -> tuple[str, ...]:
+        """Count one data frame seen on the bus; returns the ops it ran,
+        :data:`ROTATION_OPS` for a rotation and none otherwise. A unit
+        without a session does not count."""
+        if self.session is None:
+            return ()
+        return ROTATION_OPS if self.tick_counter() else ()
 
     def tick_counter(self) -> bool:
         """Count one data frame; rotate the session key when the round is full.

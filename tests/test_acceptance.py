@@ -14,9 +14,9 @@ import pytest
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError
 from canvault.group import get_group
-from canvault.harness import (ScenarioConfig, affine_fit,
-                              comparison_ratios, run_scenario)
+from canvault.harness import ScenarioConfig, comparison_ratios, run_scenario
 from canvault.protocol import Ecu, Secu, WireMessage
+from support import affine_fit, elements
 
 
 @contextmanager
@@ -76,7 +76,7 @@ def test_03_kem_round_trip_correctness():
 def test_04_consistency_check_matches_brute_force_oracle():
     with criterion(4, "consistency check equals brute-force predicate"):
         toy = get_group("toy23")
-        elements = toy.elements()
+        members = elements(toy)
 
         class Scripted:
             def __init__(self, vals):
@@ -88,9 +88,9 @@ def test_04_consistency_check_matches_brute_force_oracle():
         for x in range(1, toy.order):
             for y in range(1, toy.order):
                 kp = kem.keygen(toy, 0, Scripted([x, y]))
-                for c in elements:
+                for c in members:
                     t = primitives.hash_to_scalar(toy, c)
-                    for binding in elements:
+                    for binding in members:
                         oracle_ok = pow(
                             c.value, (x * t + y) % toy.order, toy.modulus) \
                             == binding.value

@@ -1,19 +1,25 @@
 """Bus-layer tests: fragmentation codec, timing arithmetic, arbitration,
-delivery conservation, and determinism of the event loop."""
+delivery by acceptance filter, determinism of the event loop, and the bus's
+independence from the protocol's rules."""
 
+import ast
+import inspect
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canvault.bus
 from canvault import kem
 from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
                           frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
-from canvault.protocol import SECU_ID, Disposition, Ecu, MsgKind, Secu, WireMessage
+from canvault.protocol import (ANY_RECEIVER, DATA_FRAMES, MESSAGE_OPS, SECU_ID,
+                               SEEDS, Disposition, Ecu, MsgKind, Outcome, Secu,
+                               WireMessage)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +194,117 @@ class TestDeliveryAndDeterminism:
         b = run_scenario(ScenarioConfig(group="toy23", n_ecus=2, rng_seed=2))
         assert a.phase_times == b.phase_times
         assert a.rng_seed != b.rng_seed
+
+
+class StubNode:
+    """A node that is neither an Ecu nor a Secu: it accepts whatever reaches
+    it at its kind's cost, and pays one hkdf per data frame. Each handled
+    message is also logged with the node's id in ``log``, if one is given."""
+
+    def __init__(self, node_id: int, streams, log=None):
+        self.node_id = node_id
+        self.streams = streams
+        self.handled: list[WireMessage] = []
+        self.data_frames = 0
+        self.log = [] if log is None else log
+
+    def handle(self, msg: WireMessage) -> Outcome:
+        self.handled.append(msg)
+        self.log.append(self.node_id)
+        return Outcome(Disposition.ACCEPTED, MESSAGE_OPS[msg.kind])
+
+    def on_data_frame(self) -> tuple[str, ...]:
+        self.data_frames += 1
+        return ("hkdf",)
+
+
+def stub_net(*nodes) -> Network:
+    net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
+    for node in nodes:
+        net.add_ecu(node)
+    return net
+
+
+def quiet_end(net: Network) -> int:
+    """When the last frame left the bus."""
+    last = net.sent[-1]
+    return last.timestamp_us + frame_time_us(last, net.cfg)
+
+
+class TestAcceptanceFilter:
+    """The bus delivers by declared streams alone, whatever class a node is."""
+
+    def test_seed_forged_to_one_node_reaches_every_node_but_its_origin(self):
+        nodes = [StubNode(i, (SEEDS,)) for i in range(3)]
+        net = stub_net(*nodes)
+        seed = WireMessage(MsgKind.SEED_BROADCAST, 0, 1, b"s" * 48)
+        net.schedule_protocol_send(0, [seed])
+        net.forge(seed, at_us=10_000)
+        net.run_to_quiescence()
+        assert [len(n.handled) for n in nodes] == [1, 2, 2]
+
+    def test_unicast_to_the_secu_id_or_an_absent_id_reaches_no_handler(self):
+        secu_like = StubNode(SECU_ID, (SEEDS,))
+        units = [StubNode(i, ((MsgKind.PAIRWISE_CIPHER, i),)) for i in range(2)]
+        net = stub_net(secu_like, *units)
+        for receiver in (SECU_ID, 7, None):
+            net.forge(WireMessage(MsgKind.PAIRWISE_CIPHER, SECU_ID, receiver,
+                                  b"c" * 2), at_us=0)
+        end = net.run_to_quiescence()
+        assert [n.handled for n in (secu_like, *units)] == [[], [], []]
+        assert end == quiet_end(net)        # nobody was charged
+
+    def test_only_data_frame_listeners_count_data_frames(self):
+        listener = StubNode(0, (DATA_FRAMES,))
+        deaf = StubNode(1, (SEEDS,))
+        net = stub_net(listener, deaf)
+        net.schedule_data_frame(1)
+        net.schedule_data_frame(0)          # the sender counts its own frame
+        end = net.run_to_quiescence()
+        assert (listener.data_frames, deaf.data_frames) == (2, 0)
+        # The listener pays for each frame once it has left the bus, one
+        # after the other: the second frame ends before the first is paid.
+        first_end = net.sent[1].timestamp_us
+        assert end == first_end + 2 * LATENCY_PRESETS["stm32"]["ecu"]["hkdf"]
+
+    def test_unkeyed_unit_neither_raises_nor_pays_on_a_data_frame(self, toy):
+        ecu = Ecu(toy, kem.keygen(toy, 0, Random(0)))
+        net = stub_net(ecu, StubNode(1, (SEEDS,)))
+        net.schedule_data_frame(1)
+        assert net.run_to_quiescence() == quiet_end(net)
+        assert ecu.session is None
+
+    def test_listeners_added_out_of_id_order_are_served_in_id_order(self):
+        log = []
+        net = stub_net(*(StubNode(i, (SEEDS,), log) for i in (2, 0, 1)))
+        net.forge(WireMessage(MsgKind.SEED_BROADCAST, 0, None, b"s"), at_us=0)
+        net.run_to_quiescence()
+        assert log == [0, 1, 2]
+
+    def test_exact_and_wildcard_listeners_get_a_message_once_in_id_order(self):
+        # Added out of id order; node 2 listens to the stream both ways.
+        log = []
+        exact, wild = (MsgKind.GROUP_SECRET, 0), (MsgKind.GROUP_SECRET, ANY_RECEIVER)
+        net = stub_net(StubNode(2, (exact, wild), log), StubNode(1, (wild,), log),
+                       StubNode(0, (exact,), log))
+        net.forge(WireMessage(MsgKind.GROUP_SECRET, SECU_ID, 0, b"g"), at_us=0)
+        net.run_to_quiescence()
+        assert log == [0, 1, 2]
+
+
+def test_bus_imports_from_the_protocol_only_its_wire_format():
+    # The message kinds and format, the sender's charge per kind, and the
+    # filter wildcard: every other protocol rule is the nodes' own.
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(canvault.bus))):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {alias.name for alias in node.names}
+        if (getattr(node, "module", None) or "").endswith("protocol"):
+            imported |= names
+        else:
+            assert not any(name.endswith("protocol") for name in names)
+    assert imported <= {"MsgKind", "WireMessage", "MESSAGE_OPS", "ANY_RECEIVER"}
 
 
 class TestTimingModel:

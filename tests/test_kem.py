@@ -10,6 +10,7 @@ import pytest
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError
 from canvault.group import Group, GroupElement, get_group
+from support import elements, mul
 
 
 class ScriptedRng:
@@ -73,7 +74,7 @@ class TestForcedToyTrace:
     def test_perturbed_binding_rejected(self, toy):
         kp = self.keypair(toy)
         _, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
-        bad = kem.KemCiphertext(ct.ephemeral, toy.mul(ct.binding, toy.generator))
+        bad = kem.KemCiphertext(ct.ephemeral, mul(toy, ct.binding, toy.generator))
         with pytest.raises(ConsistencyError):
             kem.decapsulate(toy, kp, bad)
 
@@ -91,12 +92,12 @@ class TestToyExhaustive:
     def test_consistency_predicate_matches_oracle_exactly(self, toy):
         """Decapsulation accepts iff the brute-force oracle accepts, for
         every (c, binding) pair under every keypair."""
-        elements = toy.elements()
+        members = elements(toy)
         for x in range(1, toy.order):
             for y in range(1, toy.order):
                 kp = kem.keygen(toy, 0, ScriptedRng([x, y]))
-                for c in elements:
-                    for binding in elements:
+                for c in members:
+                    for binding in members:
                         ct = kem.KemCiphertext(c, binding)
                         expected = oracle_accepts(toy, x, y, c.value, binding.value)
                         if expected:
@@ -129,7 +130,7 @@ class TestToyExhaustive:
         _, ct = kem.encapsulate(toy, kp.public, ScriptedRng([4]))
         for k in range(1, toy.order):
             bad = kem.KemCiphertext(
-                ct.ephemeral, toy.mul(ct.binding, toy.exp(toy.generator, k)))
+                ct.ephemeral, mul(toy, ct.binding, toy.exp(toy.generator, k)))
             with pytest.raises(ConsistencyError):
                 kem.decapsulate(toy, kp, bad)
 
@@ -226,7 +227,7 @@ class TestExponentHashCollisions:
     consistency check; the hash should look uniform."""
 
     def test_toy_collision_rate_is_birthday_like(self, toy):
-        tems = {e.value: primitives.hash_to_scalar(toy, e) for e in toy.elements()}
+        tems = {e.value: primitives.hash_to_scalar(toy, e) for e in elements(toy)}
         rng = Random(2024)
         values = list(tems)
         collisions = 0
@@ -243,7 +244,7 @@ class TestExponentHashCollisions:
         seen = set()
         for _ in range(100_000):
             seen.add(primitives.hash_to_scalar(big, cur))
-            cur = big.mul(cur, big.generator)
+            cur = mul(big, cur, big.generator)
         assert len(seen) == 100_000
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from canvault import kem
 from canvault.errors import ConsistencyError, DecodeError, StateError
 from canvault.group import get_group
-from canvault.protocol import (BROADCAST, SECU_ID, Disposition, Ecu, MsgKind,
+from canvault.protocol import (BROADCAST, DATA_FRAMES, MESSAGE_OPS,
+                               ROTATION_OPS, SECU_ID, Disposition, Ecu, MsgKind,
                                Phase, Secu, WireMessage, body_length)
+from support import mul, passes
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +30,11 @@ def build_nodes(toy, n, seed=0, ctr_max=65_535, cache=64):
 
 
 def deliver_all(msgs, ecus):
+    """Hand each message to every unit whose acceptance filter passes it."""
     for msg in msgs:
         for ecu in ecus:
-            ecu.handle(msg)
+            if passes(ecu, msg):
+                ecu.handle(msg)
 
 
 def run_to_session(toy, n, seed=0, ctr_max=65_535):
@@ -75,6 +79,55 @@ class TestPhase2:
             secu.run_phase2(Random(0))
 
 
+class TestAcceptanceFilter:
+    def test_unit_passes_its_own_unicasts_and_not_another_units(self, toy):
+        secu, ecus, rng = build_nodes(toy, 3)
+        pairwise = secu.run_phase2(rng)
+        deliver_all(pairwise[:1], ecus)
+        assert [e.pairwise for e in ecus] == [secu.pairwise[0], None, None]
+        deliver_all(pairwise[1:], ecus)
+        for msg in pairwise + secu.run_phase3(rng):
+            assert [passes(e, msg) for e in ecus] == \
+                [e.ecu_id == msg.receiver for e in ecus]
+            assert not passes(secu, msg)
+
+    def test_every_node_passes_a_seed_whatever_its_receiver(self, toy):
+        secu, ecus, _ = build_nodes(toy, 2)
+        for receiver in (BROADCAST, SECU_ID, 0, 1, 99):
+            seed = WireMessage(MsgKind.SEED_BROADCAST, 0, receiver, b"")
+            assert all(passes(node, seed) for node in [secu, *ecus])
+
+    def test_units_listen_to_data_frames_and_the_secu_does_not(self, toy):
+        secu, ecus, _ = build_nodes(toy, 2)
+        assert all(DATA_FRAMES in e.streams for e in ecus)
+        assert DATA_FRAMES not in secu.streams
+
+
+class TestOutcomeOps:
+    """A handled message costs its kind's op list, read when handled; only
+    the SECU's ignoring of a seed outside phase 3 is free."""
+
+    def test_acceptance_and_rejection_cost_the_kind_ops(self, toy):
+        secu, ecus, rng = build_nodes(toy, 1)
+        msg = secu.run_phase2(rng)[0]
+        assert ecus[0].handle(msg).ops == MESSAGE_OPS[MsgKind.PAIRWISE_CIPHER]
+        group_msg = secu.run_phase3(rng)[0]
+        fresh = Ecu(toy, ecus[0].keypair)
+        out = fresh.handle(group_msg)
+        assert out.reason == "state"
+        assert out.ops == MESSAGE_OPS[MsgKind.GROUP_SECRET]
+
+    def test_secu_ignores_a_seed_for_free_outside_phase3(self, toy):
+        secu, ecus, rng = run_to_session(toy, 2)
+        out = secu.handle(ecus[1].run_phase4(rng))
+        assert out.disposition is Disposition.IGNORED and out.ops == ()
+
+    def test_ops_follow_a_patched_list(self, toy, monkeypatch):
+        secu, ecus, rng = build_nodes(toy, 1)
+        monkeypatch.setitem(MESSAGE_OPS, MsgKind.PAIRWISE_CIPHER, ("sha",))
+        assert ecus[0].handle(secu.run_phase2(rng)[0]).ops == ("sha",)
+
+
 class TestEcuPairwiseHandling:
     def test_honest_message_stores_matching_key(self, toy):
         secu, ecus, rng = build_nodes(toy, 2)
@@ -83,13 +136,6 @@ class TestEcuPairwiseHandling:
         assert out.accepted
         assert ecus[0].pairwise == secu.pairwise[0]
 
-    def test_message_for_other_unit_ignored(self, toy):
-        secu, ecus, rng = build_nodes(toy, 2)
-        msgs = secu.run_phase2(rng)
-        out = ecus[1].handle(msgs[0])
-        assert out.disposition is Disposition.IGNORED
-        assert ecus[1].pairwise is None
-
     def test_tampered_binding_rejected_exhaustively(self, toy):
         """Multiplying the binding element by any generator power breaks it."""
         secu, ecus, rng = build_nodes(toy, 1)
@@ -97,7 +143,7 @@ class TestEcuPairwiseHandling:
         ct = kem.decode_ciphertext(toy, msg.body)
         for k in range(1, toy.order):
             bad = kem.KemCiphertext(
-                ct.ephemeral, toy.mul(ct.binding, toy.exp(toy.generator, k)))
+                ct.ephemeral, mul(toy, ct.binding, toy.exp(toy.generator, k)))
             mauled = WireMessage(msg.kind, msg.sender, msg.receiver,
                                  kem.encode_ciphertext(toy, bad))
             out = ecus[0].handle(mauled)
@@ -348,6 +394,17 @@ class TestCounterRefresh:
         _, ecus, _ = build_nodes(toy, 1)
         with pytest.raises(StateError):
             ecus[0].tick_counter()
+
+    def test_data_frame_returns_the_rotation_ops(self, toy):
+        _, ecus, _ = run_to_session(toy, 1, ctr_max=2)
+        assert [ecus[0].on_data_frame() for _ in range(6)] == \
+            [(), (), ROTATION_OPS] * 2
+        assert ecus[0].session.round_index == 2
+
+    def test_unkeyed_unit_neither_counts_nor_raises_on_a_data_frame(self, toy):
+        _, ecus, _ = build_nodes(toy, 1)
+        assert ecus[0].on_data_frame() == ()
+        assert ecus[0].session is None
 
 
 class TestPhaseMonotonicityAndRobustness:
