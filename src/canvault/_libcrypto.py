@@ -1,10 +1,11 @@
-"""Modular powers and AES-128-CTR on the libcrypto that CPython's ``_ssl``
+"""Modular powers and AES-128-CTR on the libcrypto that CPython's ``_hashlib``
 module links.
 
-Importing this module loads the library through ``ctypes`` and declares every
-signature it calls, in one table; it raises ``ImportError``, ``OSError`` or
-``AttributeError`` where that library cannot be loaded. ``_ssl`` has already
-mapped the library, so opening it by its soname returns the same copy.
+Importing this module opens ``_hashlib``'s shared object with ``ctypes`` and
+declares every signature it calls, in one table. Symbols looked up through that
+handle resolve in ``_hashlib``'s dependencies: the libcrypto copy ``hashlib``
+has already mapped, with no soname to guess. Where ``_hashlib`` exposes no
+libcrypto, import raises ``ImportError``, ``OSError`` or ``AttributeError``.
 
 Three powers: :func:`mod_exp` and :func:`mod_exp2` (a single and a double
 Montgomery power of any base), and :func:`fixed_base_exp`, a power of one
@@ -22,13 +23,11 @@ them before it returns.
 
 from __future__ import annotations
 
-import _ssl
+import _hashlib
 import ctypes
 import threading
 
-_major, _minor = _ssl.OPENSSL_VERSION_INFO[:2]
-lib = ctypes.CDLL(f"libcrypto.so.{_major}" if _major >= 3
-                  else f"libcrypto.so.{_major}.{_minor}")
+lib = ctypes.CDLL(_hashlib.__file__)
 
 _ptr, _int = ctypes.c_void_p, ctypes.c_int
 for _name, _restype, _argtypes in (

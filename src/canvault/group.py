@@ -15,7 +15,7 @@ Every group power is one call of the group's backend, :attr:`Group._powers`:
 ``fixed_base_exp`` (a power of the generator), ``mod_exp`` (a single power of
 any other base) or ``mod_exp2`` (a double power ``a^x b^y``). A modulus of
 512 bits or more takes the Montgomery powers of the libcrypto that CPython's
-``ssl`` module links (``canvault._libcrypto``), the generator's from a
+``_hashlib`` module links (``canvault._libcrypto``), the generator's from a
 fixed-window table of its precomputed powers. A smaller modulus takes builtin
 ``pow``.
 """

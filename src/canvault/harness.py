@@ -15,7 +15,6 @@ import enum
 import functools
 import json
 from dataclasses import MISSING, dataclass, field
-from fractions import Fraction
 from random import Random
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -49,6 +48,7 @@ def expected_messages(scheme: Scheme, n: int) -> int:
 
 def comparison_ratios(n: int) -> tuple[Fraction, Fraction]:
     """Our message count over each competitor's, as exact fractions."""
+    from fractions import Fraction
     ours = expected_messages(Scheme.OURS, n)
     return (Fraction(ours, expected_messages(Scheme.CARVAJAL_ROCA, n)),
             Fraction(ours, expected_messages(Scheme.MUSUROI, n)))

@@ -2,10 +2,10 @@
 
 SHA-256 and HMAC come from the standard library, HKDF is the usual
 extract-and-expand construction on top of HMAC-SHA256, and AES-128-CTR is
-``canvault._libcrypto.aes128_ctr``, on the libcrypto that CPython's ``ssl``
-module links. That module, and ``ctypes`` with it, loads on the first AES
-call, never at import. Everything here is a pure function; all of it is
-pinned by published test vectors in the test suite.
+``canvault._libcrypto.aes128_ctr``, on the libcrypto that CPython's
+``_hashlib`` module links. ``canvault._libcrypto``, and ``ctypes`` with it,
+loads on the first AES call, never at import. Everything here is a pure
+function; all of it is pinned by published test vectors in the test suite.
 
 Key lengths are enforced at the call boundary: encryption keys are 16 bytes,
 MAC keys 32 bytes. Handing the wrong role to a function is a bug, not a

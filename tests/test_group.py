@@ -434,16 +434,17 @@ class TestPowmodBackend:
 
 BACKEND_LOAD_PROBE = """
 import sys
+before = set(sys.modules)
 from canvault.group import GroupElement, _BuiltinPowers, get_group
 from canvault.harness import ScenarioConfig, run_scenario
 
 toy, grp = get_group("toy23"), get_group("schnorr256")
 toy_cfg = ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3})
 ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
-loaded = [m for m in ("ctypes", "canvault._libcrypto", "cryptography")
-          if m in sys.modules]
+loaded = {"ctypes", "canvault._libcrypto", "cryptography", "fractions",
+          "decimal", "ssl", "_ssl"} & (set(sys.modules) - before)
 if loaded:
-    sys.exit(f"setup loaded {loaded}")
+    sys.exit(f"setup loaded {sorted(loaded)}")
 run_scenario(toy_cfg)
 _libcrypto = sys.modules.get("canvault._libcrypto")
 if _libcrypto is None:
@@ -460,6 +461,25 @@ if _libcrypto._tables:
 grp.exp(grp.generator, 5)
 if list(_libcrypto._tables) != [(grp.generator.value, grp.modulus, 256)]:
     sys.exit(f"first generator power built {list(_libcrypto._tables)}")
+from canvault.primitives import sym_encrypt
+sym_encrypt(b"probe", bytes(16), bytes(16))
+if "ssl" in sys.modules or "_ssl" in sys.modules:
+    sys.exit("a power or an AES call loaded ssl")
+if sys.platform.startswith("linux"):
+    import ctypes
+    spans = {}
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            fields = line.split()
+            if len(fields) == 6 and fields[5].rsplit("/", 1)[-1].startswith("libcrypto"):
+                lo, hi = (int(a, 16) for a in fields[0].split("-"))
+                spans.setdefault(fields[5], []).append((lo, hi))
+    if len(spans) != 1:
+        sys.exit(f"libcrypto files mapped: {sorted(spans)}")
+    [(path, ranges)] = spans.items()
+    addr = ctypes.cast(_libcrypto.lib.BN_mod_exp_mont, ctypes.c_void_p).value
+    if not any(lo <= addr < hi for lo, hi in ranges):
+        sys.exit(f"BN_mod_exp_mont at {addr:#x} lies outside {path}")
 """
 
 
@@ -468,7 +488,10 @@ def test_backend_loads_on_first_power_not_at_import():
     # in perfbench) load neither ctypes, libcrypto nor cryptography. A toy23
     # run then loads libcrypto for its AES-CTR only: its powers stay on
     # builtin pow and it builds no table. schnorr256's generator table waits
-    # for its first generator power. No run loads cryptography.
+    # for its first generator power. No run loads cryptography. Setup loads
+    # neither fractions, decimal nor ssl, and powers and AES calls never load
+    # ssl. On Linux the process maps exactly one libcrypto file, the copy
+    # hashlib uses, and libcrypto's symbols resolve inside it.
     src = Path(canvault.group.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
