@@ -71,10 +71,9 @@ class CanFdFrame:
     count toward the payload, which holds only the fragment header and a body
     chunk. ``origin`` records which node physically transmitted the frame
     (the adversary when it replays or forges), while ``sender`` is the claim
-    the protocol layer sees. The fragment fields are the values
-    :func:`fragment` packs into the payload's header; a tamper flips only body
-    bytes, so they never go stale. Data frames (``kind`` None) carry no header
-    and leave them None.
+    the protocol layer sees. A protocol frame's payload starts with the
+    fragment header :func:`fragment` packs, which :attr:`header` reads back;
+    a data frame (``kind`` None) carries none.
     """
 
     can_id: int
@@ -84,9 +83,11 @@ class CanFdFrame:
     receiver: Optional[int]
     origin: int
     timestamp_us: int = -1      # start of transmission, set by the bus
-    msg_seq: Optional[int] = None
-    frag_index: Optional[int] = None
-    frag_total: Optional[int] = None
+
+    @property
+    def header(self) -> tuple[int, int, int]:
+        """``(msg_seq, frag_index, frag_total)`` from the payload."""
+        return _FRAG_HEADER.unpack_from(self.payload)
 
 
 def fragment_count(body_len: int) -> int:
@@ -107,8 +108,7 @@ def fragment(msg: WireMessage, can_id: int, msg_seq: int,
         frames.append(CanFdFrame(
             can_id=can_id, payload=header + chunk, kind=msg.kind,
             sender=msg.sender, receiver=msg.receiver,
-            origin=msg.sender if origin is None else origin,
-            msg_seq=msg_seq, frag_index=idx, frag_total=total))
+            origin=msg.sender if origin is None else origin))
     return frames
 
 
@@ -116,14 +116,12 @@ def reassemble(frames: list[CanFdFrame]) -> WireMessage:
     """Rebuild the logical message from a complete fragment set."""
     if not frames:
         raise ValueError("no frames to reassemble")
-    first = frames[0]
-    if len(frames) != first.frag_total:
-        raise ValueError("fragment set incomplete")
-    ordered = sorted(frames, key=lambda f: f.frag_index)
-    if [f.frag_index for f in ordered] != list(range(first.frag_total)):
-        raise ValueError("fragment indices do not cover the message")
-    if any(f.msg_seq != first.msg_seq for f in ordered):
-        raise ValueError("fragments from different messages")
+    ordered = sorted(frames, key=attrgetter("header"))
+    headers = [f.header for f in ordered]
+    seq, _, total = headers[0]
+    if headers != [(seq, i, total) for i in range(total)]:
+        raise ValueError("fragments do not form one complete message")
+    first = ordered[0]
     body = b"".join(f.payload[FRAG_HEADER_LEN:] for f in ordered)
     return WireMessage(first.kind, first.sender, first.receiver, body)
 
@@ -232,18 +230,17 @@ class Network:
         self._kind_sent: dict[MsgKind, int] = {k: 0 for k in MsgKind}
         self._tampers: list[TamperAction] = []
         self._replays: list[ReplayAction] = []
-        self._captures: dict[tuple, list] = {}    # (origin, seq) -> [(frames, delay)]
-        self._partial: dict[tuple, dict] = {}     # (sender, seq) -> {index: frame}
+        self._captures: dict[tuple, list] = {}    # (can_id, seq) -> [(frames, delay)]
+        self._partial: dict[tuple, dict] = {}     # (can_id, seq) -> {index: frame}
 
     # -- topology ---------------------------------------------------------
 
     def add_secu(self, machine: Machine) -> None:
         self._add_node(_Node(machine.node_id, SECU_CAN_ID, "secu", machine))
 
-    def add_ecu(self, machine: Machine, can_id: Optional[int] = None) -> None:
+    def add_ecu(self, machine: Machine) -> None:
         node_id = machine.node_id
-        cid = ECU_CAN_BASE + node_id if can_id is None else can_id
-        self._add_node(_Node(node_id, cid, "ecu", machine))
+        self._add_node(_Node(node_id, ECU_CAN_BASE + node_id, "ecu", machine))
 
     def _add_node(self, node: _Node) -> None:
         if node.node_id in self._nodes:
@@ -280,8 +277,8 @@ class Network:
     def logical_messages(self) -> int:
         """Messages the protocol nodes sent, each counted by its first frame.
         Complete once the bus is quiescent, when every queued frame is sent."""
-        return sum(f.kind is not None and f.frag_index == 0 and
-                   f.origin != ADVERSARY_ID for f in self.sent)
+        return sum(f.kind is not None and f.origin != ADVERSARY_ID and
+                   f.header[1] == 0 for f in self.sent)
 
     # -- scheduling -------------------------------------------------------
 
@@ -327,29 +324,23 @@ class Network:
     def _send_message(self, origin: int, can_id: int, msg: WireMessage,
                       t: int) -> None:
         self._msg_seq += 1
-        frames = fragment(msg, can_id, self._msg_seq, origin)
         occurrence = self._kind_sent[msg.kind]
         self._kind_sent[msg.kind] = occurrence + 1
         for tamper in self._tampers:
             if tamper.kind is msg.kind and tamper.occurrence == occurrence:
-                self._apply_tamper(frames, tamper)
+                # The harness checks that the bit lies inside the body.
+                body = bytearray(msg.body)
+                body[tamper.bit // 8] ^= 1 << tamper.bit % 8
+                msg = dataclasses.replace(msg, body=bytes(body))
+        frames = fragment(msg, can_id, self._msg_seq, origin)
         for replay in self._replays:
             if replay.kind is msg.kind and replay.occurrence == occurrence:
                 copies = [dataclasses.replace(f, origin=ADVERSARY_ID)
                           for f in frames]
-                self._captures.setdefault((origin, frames[0].msg_seq), []) \
+                self._captures.setdefault((can_id, self._msg_seq), []) \
                     .append((copies, replay.delay_us))
         for f in frames:
             self._schedule(f, t)
-
-    @staticmethod
-    def _apply_tamper(frames: list[CanFdFrame], tamper: TamperAction) -> None:
-        # The bit lies inside the body: the harness checks it before any send.
-        byte_idx, bit_in_byte = divmod(tamper.bit, 8)
-        frag, offset = divmod(byte_idx, FRAME_DATA_MAX)
-        payload = bytearray(frames[frag].payload)
-        payload[FRAG_HEADER_LEN + offset] ^= 1 << bit_in_byte
-        frames[frag].payload = bytes(payload)
 
     # -- event loop -------------------------------------------------------
 
@@ -380,21 +371,22 @@ class Network:
             return
         # Reassemble each set once and hand it to every node but its origin
         # whose acceptance filter passes it.
-        key = (frame.sender, frame.msg_seq)
+        seq, index, total = frame.header
+        key = (frame.can_id, seq)
         parts = self._partial.setdefault(key, {})
-        parts[frame.frag_index] = frame
-        if len(parts) == frame.frag_total:
+        parts[index] = frame
+        if len(parts) == total:
             del self._partial[key]
-            # Sequence numbers are unique, tampers flip only body bits, and
+            # Each sequence number has one sender and one CAN id, replay
+            # copies go out only once the original set is complete, and
             # frames under one CAN id leave arbitration in readiness order,
             # so a complete set always reassembles.
             msg = reassemble(list(parts.values()))
             for node in self._listening(msg.kind, msg.receiver):
                 if node.node_id != frame.origin:
                     self._dispatch(node, msg)
-        if frame.frag_index == frame.frag_total - 1:
-            for copies, delay in self._captures.pop(
-                    (frame.origin, frame.msg_seq), ()):
+        if index == total - 1:
+            for copies, delay in self._captures.pop(key, ()):
                 for f in copies:
                     self._schedule(f, self.now + delay)
 
@@ -433,6 +425,5 @@ class Network:
         with open(path, "w") as fh:
             fh.write("timestamp_us,can_id,frag,payload_hex\n")
             for f in self.sent:
-                frag = ("data" if f.kind is None else
-                        f"{f.msg_seq}:{f.frag_index}/{f.frag_total}")
+                frag = "data" if f.kind is None else "{}:{}/{}".format(*f.header)
                 fh.write(f"{f.timestamp_us},{f.can_id:#05x},{frag},{f.payload.hex()}\n")

@@ -536,7 +536,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     honest_frames = sum(f.kind is not None and f.origin != ADVERSARY_ID
                         for f in net.sent)
     checks = {
-        "message_count": net.logical_messages == report.expected_messages,
+        "message_count": report.logical_messages == report.expected_messages,
         "frame_accounting": honest_frames == _honest_frame_count(group, cfg.n_ecus),
         "convergence": not foreign,
     }

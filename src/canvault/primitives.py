@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-from functools import cache
 
 from .errors import DecryptError
 from .group import Group, GroupElement
@@ -103,15 +102,10 @@ def hmac_verify(msg: bytes, key: bytes, tag: bytes) -> bool:
     return _hmac.compare_digest(hmac_tag(msg, key), tag)
 
 
-@cache
-def _aes128_ctr():
-    """``canvault._libcrypto.aes128_ctr``, imported on the first call."""
-    from ._libcrypto import aes128_ctr
-    return aes128_ctr
-
-
 def _ctr_stream(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    return _aes128_ctr()(key, nonce, data)
+    # Imported here so that setup loads neither _libcrypto nor ctypes.
+    from ._libcrypto import aes128_ctr
+    return aes128_ctr(key, nonce, data)
 
 
 def sym_encrypt(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:

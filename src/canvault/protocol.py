@@ -25,7 +25,6 @@ and each outcome carries the ops its handling cost, which the bus charges.
 from __future__ import annotations
 
 import enum
-import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
@@ -117,15 +116,9 @@ class Outcome:
 _IGNORED = Outcome(Disposition.IGNORED, ())
 
 
-@functools.cache
-def _accepted_at(ops: tuple[str, ...]) -> Outcome:
-    return Outcome(Disposition.ACCEPTED, ops)
-
-
-# The op lists are read on each call, so a patched list is charged at once;
-# the acceptance for each list is built once and shared.
+# The op lists are read on each call, so a patched list is charged at once.
 def _accepted(msg: WireMessage) -> Outcome:
-    return _accepted_at(MESSAGE_OPS[msg.kind])
+    return Outcome(Disposition.ACCEPTED, MESSAGE_OPS[msg.kind])
 
 
 def _rejected(msg: WireMessage, reason: str) -> Outcome:

@@ -1,6 +1,6 @@
 """Bus-layer tests: fragmentation codec, timing arithmetic, arbitration,
-delivery by acceptance filter, determinism of the event loop, and the bus's
-independence from the protocol's rules."""
+delivery by acceptance filter, determinism of the event loop, tampers and
+replays on the wire, and the bus's independence from the protocol's rules."""
 
 import ast
 import inspect
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import canvault.bus
 from canvault import kem
 from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
-                          frame_time_us, fragment, reassemble)
+                          ReplayAction, TamperAction, frame_time_us, fragment,
+                          reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
@@ -35,13 +36,13 @@ class TestFragmentation:
     def test_small_body_fits_one_frame(self):
         frames = fragment(make_msg(b"x" * 48), can_id=0x10, msg_seq=1)
         assert len(frames) == 1
-        assert frames[0].frag_total == 1
+        assert frames[0].header == (1, 0, 1)
         assert len(frames[0].payload) == 52
 
     def test_64_byte_body_needs_two_frames(self):
         frames = fragment(make_msg(b"x" * 64), can_id=0x10, msg_seq=1)
         assert [len(f.payload) for f in frames] == [64, 8]
-        assert [f.frag_index for f in frames] == [0, 1]
+        assert [f.header for f in frames] == [(1, 0, 2), (1, 1, 2)]
 
     def test_empty_body_still_sends_header_frame(self):
         frames = fragment(make_msg(b""), can_id=0x10, msg_seq=1)
@@ -68,6 +69,10 @@ class TestFragmentation:
             reassemble(frames[:-1] + [other[-1]])
         with pytest.raises(ValueError):
             reassemble(frames[:-1] + [frames[0]])   # duplicated index
+        # Fragment 3 of a 5-fragment body under the same sequence number.
+        longer = fragment(make_msg(b"z" * 260), 0x10, 1)
+        with pytest.raises(ValueError):
+            reassemble(frames[:-1] + [longer[3]])
         with pytest.raises(ValueError):
             reassemble([])
 
@@ -100,23 +105,25 @@ class TestFrameTiming:
 
 
 class TestArbitration:
-    def build_two_node_net(self, toy, id_a, id_b, bitrate_bps=1_000_000):
+    def build_two_node_net(self, toy, bitrate_bps=1_000_000):
+        """Units 0 and 1, under CAN ids 0x100 and 0x101."""
         rng = Random(0)
         net = Network(BusConfig(bitrate_bps), LATENCY_PRESETS["stm32"])
         kp_a, kp_b = kem.keygen(toy, 0, rng), kem.keygen(toy, 1, rng)
-        net.add_ecu(Ecu(toy, kp_a), can_id=id_a)
-        net.add_ecu(Ecu(toy, kp_b), can_id=id_b)
+        net.add_ecu(Ecu(toy, kp_a))
+        net.add_ecu(Ecu(toy, kp_b))
         return net
 
     def test_lowest_id_wins_and_loser_queues(self, toy):
-        net = self.build_two_node_net(toy, id_a=9, id_b=5)
-        net.schedule_data_frame(0)     # can_id 9
-        net.schedule_data_frame(1)     # can_id 5
+        net = self.build_two_node_net(toy)
+        net.schedule_data_frame(1)     # can_id 0x101
+        net.schedule_data_frame(0)     # can_id 0x100
         net.run_to_quiescence()
-        assert [(f.timestamp_us, f.can_id) for f in net.sent] == [(0, 5), (192, 9)]
+        assert [(f.timestamp_us, f.can_id) for f in net.sent] == \
+            [(0, 0x100), (192, 0x101)]
 
     def test_fifo_within_equal_priority(self, toy):
-        net = self.build_two_node_net(toy, id_a=5, id_b=9)
+        net = self.build_two_node_net(toy)
         net.schedule_data_frame(0)
         net.schedule_data_frame(0)
         net.run_to_quiescence()
@@ -126,7 +133,7 @@ class TestArbitration:
         # A data frame holds the bus for 1536 us at 125 kbit/s. Two forged
         # frames under the one adversary id become ready behind it, in the
         # opposite order to the one they were scheduled in.
-        net = self.build_two_node_net(toy, id_a=5, id_b=9, bitrate_bps=125_000)
+        net = self.build_two_node_net(toy, bitrate_bps=125_000)
         net.schedule_data_frame(0)
         for body, at_us in ((b"late", 1000), (b"early", 500)):
             net.forge(make_msg(body), at_us)
@@ -290,6 +297,35 @@ class TestAcceptanceFilter:
         net.forge(WireMessage(MsgKind.GROUP_SECRET, SECU_ID, 0, b"g"), at_us=0)
         net.run_to_quiescence()
         assert log == [0, 1, 2]
+
+
+class TestTamper:
+    # A 200-byte body goes out as 4 fragments of 60, 60, 60 and 20 data
+    # bytes; the bits lie in the first, the second, the third and the last.
+    @pytest.mark.parametrize("bit", [3, 600, 1000, 1599])
+    def test_flips_one_wire_bit_and_a_replay_carries_it(self, bit):
+        body = bytes(range(200))
+
+        def wire(*actions):
+            listener = StubNode(1, (SEEDS,))
+            net = stub_net(StubNode(0, ()), listener)
+            for action in actions:
+                net.inject_adversary(action)
+            net.schedule_protocol_send(
+                0, [WireMessage(MsgKind.SEED_BROADCAST, 0, None, body)])
+            net.run_to_quiescence()
+            return [f.payload for f in net.sent], listener.handled
+
+        clean, _ = wire()
+        sent, handled = wire(TamperAction(MsgKind.SEED_BROADCAST, bit),
+                             ReplayAction(MsgKind.SEED_BROADCAST))
+        expected = [bytearray(p) for p in clean]
+        expected[bit // 480][4 + (bit // 8) % 60] ^= 1 << bit % 8
+        assert len(clean) == 4
+        assert sent == [bytes(p) for p in expected] * 2
+        flipped = bytearray(body)
+        flipped[bit // 8] ^= 1 << bit % 8
+        assert [m.body for m in handled] == [bytes(flipped)] * 2
 
 
 def test_bus_imports_from_the_protocol_only_its_wire_format():
