@@ -1,11 +1,13 @@
 """Scenario execution plus the analytic comparison against related schemes.
 
-A scenario builds a network from a validated config, drives the protocol
-through its bus phases stage by stage (each stage runs to quiescence before
-the next begins, since the central node never waits for per-unit acks), then
-fills a :class:`SimReport` with the run's metrics and the closed-form
-expectations: the 2N+1 message budget, the message counts of two competing
-schemes, and per-scheme computation tallies under the active latency profile.
+A scenario runs as plain steps. :func:`_build` makes the nodes, the bus and
+the adversary from a validated config. :func:`_run_stage` drives one keying
+stage of :func:`_stages` to quiescence (the central node never waits for
+per-unit acks, so each stage ends before the next begins). :func:`_key_checks`
+compares every unit's keys with the SECU's. One :class:`SimReport` then holds
+the run's metrics and the closed-form expectations: the 2N+1 message budget,
+the message counts of two competing schemes, and per-scheme computation
+tallies under the active latency profile.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ def _check_values(what: str, cls, values: dict) -> None:
     """Refuse a value outside its field's annotation in ``cls``.
 
     No field takes a bool, so a bool is never an integer here. Every plain
-    ``int`` field is a count, size or time and so >= 0; the unit ids
-    (``phase4_sender``, ``receiver``) are the ``Optional[int]`` fields.
+    ``int`` field is a count, size, time or unit id and so >= 0; a forged
+    ``receiver`` is the one ``Optional[int]`` field, null for broadcast.
     """
     hints = _type_hints(cls)
     for name, value in values.items():
@@ -162,7 +164,7 @@ class ScenarioConfig:
     ctr_max: int = DEFAULT_CTR_MAX
     post_ticks: int = 0
     rng_seed: int = 0
-    phase4_sender: Optional[int] = None
+    phase4_sender: int = 0
     replay_cache_size: int = DEFAULT_REPLAY_CACHE
     keyfile: Optional[str] = None
     adversary: list = field(default_factory=list)
@@ -200,19 +202,17 @@ class ScenarioConfig:
             raise ConfigError("ctr_max must be >= 1")
         if self.replay_cache_size < 1:
             raise ConfigError("replay_cache_size must be >= 1")
-        if self.phase4_sender is not None and not 0 <= self.phase4_sender < self.n_ecus:
+        if self.phase4_sender >= self.n_ecus:
             raise ConfigError("phase4_sender must name a unit in [0, n_ecus)")
+        group = get_group(self.group)
+        actions = [_adversary_action(entry, group) for entry in self.adversary]
         # Every protocol message and every forgery takes the next 16-bit
         # fragment sequence number; a wrap would let two sets share one.
-        forges = sum(isinstance(entry, dict) and entry.get("action") == "forge"
-                     for entry in self.adversary)
+        forges = sum(isinstance(action, ForgeAction) for action in actions)
         if 2 * self.n_ecus + 1 + forges > MAX_MSG_SEQ:
             raise ConfigError(f"{2 * self.n_ecus + 1} protocol messages and "
                               f"{forges} forgeries exceed the {MAX_MSG_SEQ} "
                               "fragment sequence numbers")
-        group = get_group(self.group)
-        for entry in self.adversary:
-            _adversary_action(entry, group)
 
 
 def _adversary_action(entry, group: Group):
@@ -364,22 +364,22 @@ class SimReport:
     """Metrics of one simulation run. All fields are JSON-plain types so the
     report round-trips losslessly through its JSON form."""
 
-    group: str = ""
-    n_ecus: int = 0
-    rng_seed: int = 0
-    latency_profile: str = ""
-    logical_messages: int = 0
-    frames: int = 0
-    data_frames: int = 0
-    refresh_events: int = 0
-    phase_times: dict = field(default_factory=dict)
-    rejections: list = field(default_factory=list)
-    converged: dict = field(default_factory=dict)
-    partially_keyed: bool = False
-    expected_messages: int = 0
-    checks: dict = field(default_factory=dict)
-    comparison: list = field(default_factory=list)
-    computation_tally_us: dict = field(default_factory=dict)
+    group: str
+    n_ecus: int
+    rng_seed: int
+    latency_profile: str
+    logical_messages: int
+    frames: int
+    data_frames: int
+    refresh_events: int
+    phase_times: dict
+    rejections: list
+    converged: dict
+    partially_keyed: bool
+    expected_messages: int
+    checks: dict
+    comparison: list
+    computation_tally_us: dict
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -396,14 +396,19 @@ class SimReport:
         return cls.from_dict(json.loads(text))
 
 
+def _stages(n: int) -> tuple[tuple[str, MsgKind, str, int, tuple[str, ...]], ...]:
+    """The keying stages in send order: (name, kind, sending node class,
+    message count, receiving node classes). The seed reaches the SECU and
+    every unit but its sender, so at n = 1 only the SECU."""
+    return (("pairwise", MsgKind.PAIRWISE_CIPHER, "secu", n, ("ecu",)),
+            ("group_secret", MsgKind.GROUP_SECRET, "secu", n, ("ecu",)),
+            ("session", MsgKind.SEED_BROADCAST, "ecu", 1,
+             ("secu", "ecu") if n > 1 else ("secu",)))
+
+
 def _honest_frame_count(group: Group, n: int) -> int:
-    per_kind = {
-        MsgKind.PAIRWISE_CIPHER: n,
-        MsgKind.GROUP_SECRET: n,
-        MsgKind.SEED_BROADCAST: 1,
-    }
     return sum(count * fragment_count(body_length(group, kind))
-               for kind, count in per_kind.items())
+               for _, kind, _, count, _ in _stages(n))
 
 
 def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]],
@@ -414,15 +419,10 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
     ``MESSAGE_OPS`` for each message in turn; a message's frames start once
     it is ready and the previous message has left the bus, and go back to
     back; the stage ends when the last message has been received, after the
-    slowest receiver has paid them too. The seed reaches the SECU and every
-    unit but its sender, so at n = 1 only the SECU's cost counts.
+    slowest receiver has paid them too.
     """
-    stages = (("pairwise", "secu", MsgKind.PAIRWISE_CIPHER, n, ("ecu",)),
-              ("group_secret", "secu", MsgKind.GROUP_SECRET, n, ("ecu",)),
-              ("session", "ecu", MsgKind.SEED_BROADCAST, 1,
-               ("secu", "ecu") if n > 1 else ("secu",)))
     times, start = {}, 0
-    for name, sender, kind, count, receivers in stages:
+    for name, kind, sender, count, receivers in _stages(n):
         msg = WireMessage(kind, SECU_ID, None, bytes(body_length(group, kind)))
         wire = sum(frame_time_us(f, bus) for f in fragment(msg, 0, 0))
         cost = {node: sum(latency[node][op] for op in MESSAGE_OPS[kind])
@@ -435,6 +435,61 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
         times[name] = {"start_us": start, "end_us": end, "elapsed_us": end - start}
         start = end
     return times
+
+
+def _build(cfg: ScenarioConfig, group: Group, latency: dict[str, dict[str, int]]
+           ) -> tuple[Network, Secu, list[Ecu]]:
+    """The bus with the SECU and the units on it, the adversary's tampers
+    and replays registered and its forgeries sent."""
+    keypairs = generate_keypairs(group, cfg.n_ecus, cfg.rng_seed) \
+        if cfg.keyfile is None else load_keyfile(cfg.keyfile, group, cfg.n_ecus)
+    secu = Secu(group, [(kp.ecu_id, kp.public) for kp in keypairs])
+    ecus = [Ecu(group, kp, ctr_max=cfg.ctr_max,
+                replay_cache_size=cfg.replay_cache_size) for kp in keypairs]
+    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency)
+    net.add_secu(secu)
+    for ecu in ecus:
+        net.add_ecu(ecu)
+    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
+    for action in actions:
+        if not isinstance(action, ForgeAction):
+            net.inject_adversary(action)
+    # Forgeries go out once every tamper and replay is registered, so those
+    # hit a forgery whichever entry is listed first.
+    adversary_rng = Random(f"canvault:{cfg.rng_seed}:adversary")
+    for action in actions:
+        if isinstance(action, ForgeAction):
+            body = _forged_body(group, action.kind, adversary_rng)
+            net.forge(WireMessage(action.kind, SECU_ID, action.receiver, body),
+                      action.at_us)
+    return net, secu, ecus
+
+
+def _run_stage(net: Network, sender_id: int, msgs: list[WireMessage]) -> dict[str, int]:
+    """Send one stage's messages and run the bus until it is quiet."""
+    start = net.now
+    net.schedule_protocol_send(sender_id, msgs)
+    end = net.run_to_quiescence()
+    return {"start_us": start, "end_us": end, "elapsed_us": end - start}
+
+
+def _key_checks(secu: Secu, ecus: list[Ecu]) -> tuple[dict[str, bool], list[str]]:
+    """The ``converged`` flags, and the units holding a key the SECU did not
+    issue (an unkeyed unit, denied service, is not one). Phases 2 and 3
+    always run, so the SECU holds every pairwise secret and the group secret."""
+    sessions = [e.session for e in ecus]
+    converged = {
+        "pairwise": all(e.pairwise == secu.pairwise[e.ecu_id] for e in ecus),
+        "group_secret": all(e.group_secret == secu.group_secret for e in ecus),
+        "session": all(s is not None for s in sessions) and len(
+            {(s.session_key, s.round_index) for s in sessions}) == 1,
+    }
+    chain_key = session_chain_key(secu.group_secret)
+    foreign = [f"ecu{e.ecu_id}" for e in ecus
+               if e.pairwise not in (None, secu.pairwise[e.ecu_id])
+               or e.group_secret not in (None, secu.group_secret)
+               or e.session is not None and e.session.chain_key != chain_key]
+    return converged, foreign
 
 
 def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimReport:
@@ -450,110 +505,52 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     group = get_group(cfg.group)
     profile_name, latency = load_latency_profile(cfg.latency_profile)
     proto_rng = Random(f"canvault:{cfg.rng_seed}:protocol")
-    adversary_rng = Random(f"canvault:{cfg.rng_seed}:adversary")
+    net, secu, ecus = _build(cfg, group, latency)
 
-    if cfg.keyfile is not None:
-        keypairs = load_keyfile(cfg.keyfile, group, cfg.n_ecus)
-    else:
-        keypairs = generate_keypairs(group, cfg.n_ecus, cfg.rng_seed)
-
-    secu = Secu(group, [(kp.ecu_id, kp.public) for kp in keypairs])
-    ecus = [Ecu(group, kp, ctr_max=cfg.ctr_max,
-                replay_cache_size=cfg.replay_cache_size) for kp in keypairs]
-    by_id = {e.ecu_id: e for e in ecus}
-
-    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency)
-    net.add_secu(secu)
-    for ecu in ecus:
-        net.add_ecu(ecu)
-    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
-    for action in actions:
-        if not isinstance(action, ForgeAction):
-            net.inject_adversary(action)
-    # Forgeries go out once every tamper and replay is registered, so those
-    # hit a forgery whichever entry is listed first.
-    for action in actions:
-        if isinstance(action, ForgeAction):
-            body = _forged_body(group, action.kind, adversary_rng)
-            net.forge(WireMessage(action.kind, SECU_ID, action.receiver, body),
-                      action.at_us)
-
-    phase_times = {}
-
-    def run_stage(name: str, sender_id: int, msgs) -> None:
-        start = net.now
-        net.schedule_protocol_send(sender_id, msgs)
-        end = net.run_to_quiescence()
-        phase_times[name] = {"start_us": start, "end_us": end,
-                             "elapsed_us": end - start}
-
-    run_stage("pairwise", SECU_ID, secu.run_phase2(proto_rng))
-    run_stage("group_secret", SECU_ID, secu.run_phase3(proto_rng))
-
-    sender_id = min(by_id) if cfg.phase4_sender is None else cfg.phase4_sender
-    sender = by_id[sender_id]
+    phase_times = {
+        "pairwise": _run_stage(net, SECU_ID, secu.run_phase2(proto_rng)),
+        "group_secret": _run_stage(net, SECU_ID, secu.run_phase3(proto_rng)),
+    }
+    sender = next(e for e in ecus if e.ecu_id == cfg.phase4_sender)
     stalled = sender.group_secret is None
     if not stalled:
-        run_stage("session", sender_id, [sender.run_phase4(proto_rng)])
-
+        phase_times["session"] = _run_stage(net, sender.ecu_id,
+                                            [sender.run_phase4(proto_rng)])
     for i in range(cfg.post_ticks):
         net.schedule_data_frame(ecus[i % len(ecus)].ecu_id)
     net.run_to_quiescence()
 
-    # -- assemble the report ------------------------------------------------
-    report = SimReport(group=cfg.group, n_ecus=cfg.n_ecus, rng_seed=cfg.rng_seed,
-                       latency_profile=profile_name)
-    report.logical_messages = net.logical_messages
-    report.frames = net.frames
-    report.data_frames = net.data_frames
-    report.phase_times = phase_times
-    report.rejections = list(net.rejections)
-    report.refresh_events = max(
-        (e.session.round_index for e in ecus if e.session is not None), default=0)
-
-    pairwise_ok = all(e.pairwise == secu.pairwise[e.ecu_id] and
-                      e.pairwise is not None for e in ecus)
-    group_ok = secu.group_secret is not None and \
-        all(e.group_secret == secu.group_secret for e in ecus)
-    sessions = [e.session for e in ecus]
-    session_ok = all(s is not None for s in sessions) and len(
-        {(s.session_key, s.round_index) for s in sessions}) == 1
-    report.converged = {"pairwise": pairwise_ok, "group_secret": group_ok,
-                        "session": session_ok}
-    report.partially_keyed = not (pairwise_ok and group_ok and session_ok)
-    # Units holding a key the SECU did not issue; an unkeyed unit (denial of
-    # service) is not one of them.
-    chain_key = None if secu.group_secret is None else \
-        session_chain_key(secu.group_secret)
-    foreign = [f"ecu{e.ecu_id}" for e in ecus
-               if e.pairwise not in (None, secu.pairwise.get(e.ecu_id))
-               or e.group_secret not in (None, secu.group_secret)
-               or e.session is not None and e.session.chain_key != chain_key]
-
-    report.expected_messages = expected_messages(Scheme.OURS, cfg.n_ecus)
+    converged, foreign = _key_checks(secu, ecus)
+    logical_messages = net.logical_messages
+    expected = expected_messages(Scheme.OURS, cfg.n_ecus)
     # A tamper flips bits and adds no frames; forgeries and replay copies
     # are sent under the adversary's origin.
     honest_frames = sum(f.kind is not None and f.origin != ADVERSARY_ID
                         for f in net.sent)
     checks = {
-        "message_count": report.logical_messages == report.expected_messages,
+        "message_count": logical_messages == expected,
         "frame_accounting": honest_frames == _honest_frame_count(group, cfg.n_ecus),
         "convergence": not foreign,
     }
-    report.checks = checks
-    report.comparison = comparison_table([cfg.n_ecus])
-    report.computation_tally_us = {
-        scheme.value: tally
-        for scheme in Scheme
-        if (tally := computation_tally_us(scheme, latency["secu"])) is not None
-    }
+    report = SimReport(
+        group=cfg.group, n_ecus=cfg.n_ecus, rng_seed=cfg.rng_seed,
+        latency_profile=profile_name, logical_messages=logical_messages,
+        frames=net.frames, data_frames=net.data_frames,
+        refresh_events=max((e.session.round_index for e in ecus
+                            if e.session is not None), default=0),
+        phase_times=phase_times, rejections=net.rejections, converged=converged,
+        partially_keyed=not all(converged.values()), expected_messages=expected,
+        checks=checks, comparison=comparison_table([cfg.n_ecus]),
+        computation_tally_us={
+            scheme.value: tally for scheme in Scheme
+            if (tally := computation_tally_us(scheme, latency["secu"])) is not None})
 
     if trace_path is not None:
         net.write_trace_csv(trace_path)
     held = f"; keys the SECU did not issue held by {', '.join(foreign)}" \
         if foreign else ""
     if stalled:
-        raise DeadlockError(f"seed sender ecu{sender_id} holds no group secret; "
+        raise DeadlockError(f"seed sender ecu{sender.ecu_id} holds no group secret; "
                             f"the session phase could not start{held}",
                             report=report)
     if not all(checks.values()):

@@ -170,9 +170,7 @@ class _ReplayCache:
         return tag in self._tags
 
     def add(self, tag: bytes) -> None:
-        if tag in self._tags:
-            return
-        self._tags[tag] = None
+        self._tags[tag] = None      # a tag already held keeps its place
         while len(self._tags) > self.size:
             self._tags.popitem(last=False)
 

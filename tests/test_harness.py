@@ -119,7 +119,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"n_ecus": 0}, {"n_ecus": -3}, {"group": "foo"}, {"ctr_max": 0},
         {"post_ticks": -1}, {"rng_seed": -1}, {"replay_cache_size": 0},
-        {"phase4_sender": 5}, {"n_ecus": True}, {"bitrate_bps": "fast"},
+        {"phase4_sender": 5}, {"phase4_sender": None}, {"phase4_sender": -1},
+        {"n_ecus": True}, {"bitrate_bps": "fast"},
         {"adversary": [{"action": "melt"}]},
         {"adversary": [{"action": "tamper", "target": "group_secret"}]},
         {"adversary": [{"action": "tamper", "target": "nope", "bit": 0}]},
@@ -155,8 +156,7 @@ class TestConfigValidation:
             {"action": "tamper", "target": "seed_broadcast", "bit": 48 * 8 - 1}]))
 
     def test_sequence_numbers_cannot_wrap(self):
-        # One sequence number per protocol message and per forgery; refused
-        # before the 65533 entries would be checked one by one.
+        # One sequence number per protocol message and per forgery.
         forge = {"action": "forge", "target": "seed_broadcast"}
         with pytest.raises(ConfigError, match="sequence"):
             ScenarioConfig(**self.base(n_ecus=1, adversary=[forge] * 65533))
@@ -428,9 +428,16 @@ class TestKeyfiles:
 
     def test_keyfile_unit_ids_in_any_order_run(self, tmp_path):
         path = self.keyfile_with_ids(tmp_path, [2, 1, 0])
-        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path))
+        trace = tmp_path / "trace.csv"
+        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3, keyfile=path),
+                              trace_path=str(trace))
         assert all(report.checks.values())
         assert all(report.converged.values())
+        # phase4_sender names a unit id, not a keyfile position: unit 0,
+        # listed last, sends the seed (message 7) under CAN id 0x100.
+        seed_rows = [row.split(",")[1] for row in trace.read_text().splitlines()
+                     if row.split(",")[2] == "7:0/1"]
+        assert seed_rows == ["0x100"]
 
 
 class TestAdversaryScenarios:
@@ -515,8 +522,19 @@ class TestAdversaryScenarios:
         cfg = ScenarioConfig(group="toy23", n_ecus=2, adversary=[
             {"action": "tamper", "target": "group_secret", "occurrence": 0,
              "bit": 5}])
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError, match="seed sender ecu0") as err:
             run_scenario(cfg)
+        # The stalled run still reports the two stages it ran.
+        report = err.value.report
+        assert report.checks == {"message_count": False,
+                                 "frame_accounting": False, "convergence": True}
+        assert sorted(report.phase_times) == ["group_secret", "pairwise"]
+        assert report.converged == {"pairwise": True, "group_secret": False,
+                                    "session": False}
+        assert report.partially_keyed
+        assert (report.logical_messages, report.frames) == (4, 6)
+        assert [(r["node"], r["reason"]) for r in report.rejections] == \
+            [("ecu0", "mac")]
 
 
 # ecu0 ends up holding a pairwise secret that the SECU never issued.

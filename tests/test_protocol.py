@@ -11,7 +11,8 @@ from canvault.errors import ConsistencyError, DecodeError, StateError
 from canvault.group import get_group
 from canvault.protocol import (BROADCAST, DATA_FRAMES, MESSAGE_OPS,
                                ROTATION_OPS, SECU_ID, Disposition, Ecu, MsgKind,
-                               Phase, Secu, WireMessage, body_length)
+                               Phase, Secu, WireMessage, _ReplayCache,
+                               body_length)
 from support import mul, passes
 
 
@@ -434,6 +435,17 @@ class TestPhaseMonotonicityAndRobustness:
         for i in range(100):
             ecu.handle(ecu.run_phase4(Random(i)))
         assert len(ecu.replay_cache) <= 8
+
+    def test_replay_cache_re_add_keeps_the_tag_in_place(self):
+        # Adding a held tag neither grows the cache nor moves the tag to
+        # the young end: the oldest tag is still the next one evicted.
+        cache = _ReplayCache(2)
+        for tag in (b"a", b"b", b"a"):
+            cache.add(tag)
+        assert len(cache) == 2 and b"a" in cache and b"b" in cache
+        cache.add(b"c")
+        assert len(cache) == 2 and b"a" not in cache
+        assert b"b" in cache and b"c" in cache
 
 
 class TestBodyLengths:
