@@ -26,12 +26,10 @@ a (config, seed) pair fully determines the run.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import heapq
 import struct
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Protocol, Union
+from typing import NamedTuple, Optional, Protocol, Union
 
 from .errors import ConfigError
 from .protocol import ANY_RECEIVER, MESSAGE_OPS, MsgKind, WireMessage
@@ -49,12 +47,12 @@ ADVERSARY_ID = -2           # origin marker for injected frames
 _DATA_PAYLOAD = b"\x00" * 8
 
 
-@dataclass
 class BusConfig:
-    bitrate_bps: int = 1_000_000
-    frame_overhead_bits: int = 128
+    __slots__ = ("bitrate_bps", "frame_overhead_bits")
 
-    def __post_init__(self):
+    def __init__(self, bitrate_bps: int = 1_000_000, frame_overhead_bits: int = 128):
+        self.bitrate_bps = bitrate_bps
+        self.frame_overhead_bits = frame_overhead_bits
         if not 125_000 <= self.bitrate_bps <= 8_000_000:
             raise ConfigError(
                 f"bitrate {self.bitrate_bps} outside the CAN/CAN-FD envelope")
@@ -62,7 +60,6 @@ class BusConfig:
             raise ConfigError("frame overhead must be >= 0 bits")
 
 
-@dataclass
 class CanFdFrame:
     """One frame on the bus.
 
@@ -76,13 +73,19 @@ class CanFdFrame:
     a data frame (``kind`` None) carries none.
     """
 
-    can_id: int
-    payload: bytes
-    kind: Optional[MsgKind]     # None for plain application data frames
-    sender: int
-    receiver: Optional[int]
-    origin: int
-    timestamp_us: int = -1      # start of transmission, set by the bus
+    __slots__ = ("can_id", "payload", "kind", "sender", "receiver", "origin",
+                 "timestamp_us")
+
+    def __init__(self, can_id: int, payload: bytes, kind: Optional[MsgKind],
+                 sender: int, receiver: Optional[int], origin: int,
+                 timestamp_us: int = -1):
+        self.can_id = can_id
+        self.payload = payload
+        self.kind = kind            # None for plain application data frames
+        self.sender = sender
+        self.receiver = receiver
+        self.origin = origin
+        self.timestamp_us = timestamp_us    # start of transmission, set by the bus
 
     @property
     def header(self) -> tuple[int, int, int]:
@@ -148,8 +151,7 @@ LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
 }
 
 
-@dataclass
-class TamperAction:
+class TamperAction(NamedTuple):
     """Flip one bit of a message body while its frame is in flight.
 
     ``occurrence`` counts messages of the kind in send order; ``bit`` indexes
@@ -160,16 +162,14 @@ class TamperAction:
     occurrence: int = 0
 
 
-@dataclass
-class ReplayAction:
+class ReplayAction(NamedTuple):
     """Re-inject a verbatim copy of a captured message's frames."""
     kind: MsgKind
     occurrence: int = 0
     delay_us: int = 0
 
 
-@dataclass
-class ForgeAction:
+class ForgeAction(NamedTuple):
     """Send a fabricated message at a chosen time under the adversary id;
     the harness draws its body and claims the central node as sender."""
     kind: MsgKind
@@ -195,13 +195,16 @@ class Machine(Protocol):
     def on_data_frame(self) -> tuple[str, ...]: ...
 
 
-@dataclass
 class _Node:
-    node_id: int
-    can_id: int
-    node_class: str             # "secu" or "ecu"
-    machine: Machine
-    busy_until: int = 0
+    __slots__ = ("node_id", "can_id", "node_class", "machine", "busy_until")
+
+    def __init__(self, node_id: int, can_id: int, node_class: str,
+                 machine: Machine):
+        self.node_id = node_id
+        self.can_id = can_id
+        self.node_class = node_class    # "secu" or "ecu"
+        self.machine = machine
+        self.busy_until = 0
 
     @property
     def label(self) -> str:
@@ -331,12 +334,12 @@ class Network:
                 # The harness checks that the bit lies inside the body.
                 body = bytearray(msg.body)
                 body[tamper.bit // 8] ^= 1 << tamper.bit % 8
-                msg = dataclasses.replace(msg, body=bytes(body))
+                msg = msg._replace(body=bytes(body))
         frames = fragment(msg, can_id, self._msg_seq, origin)
         for replay in self._replays:
             if replay.kind is msg.kind and replay.occurrence == occurrence:
-                copies = [dataclasses.replace(f, origin=ADVERSARY_ID)
-                          for f in frames]
+                copies = [CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
+                                     f.receiver, ADVERSARY_ID) for f in frames]
                 self._captures.setdefault((can_id, self._msg_seq), []) \
                     .append((copies, replay.delay_us))
         for f in frames:

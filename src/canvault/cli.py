@@ -21,7 +21,6 @@ run stalled; ``run`` writes the report in both cases of 3.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -47,7 +46,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = ScenarioConfig.from_json_file(args.config)
     seed = _env_seed()
     if seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=seed)
+        cfg = cfg.replace(rng_seed=seed)
     # Outputs are checked before the run, so a refused run writes nothing.
     if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise ConfigError(f"--trace and -o both name {args.out}")

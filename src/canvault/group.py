@@ -22,7 +22,6 @@ fixed-window table of its precomputed powers. A smaller modulus takes builtin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from random import Random
 from typing import Optional
@@ -51,15 +50,34 @@ class _BuiltinPowers:
         return pow(g, e, m)
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Reduced residue of a Group's modulus; :meth:`Group.decode_element`
     returns only subgroup members, each carrying ``high``, its
     ``value ** (2 ** h)`` (see :meth:`Group._pow`). Equality, hashing and
-    ``repr`` read only ``value``."""
+    ``repr`` read only ``value``. Its fields cannot be assigned."""
 
-    value: int
-    high: Optional[int] = field(default=None, compare=False, repr=False)
+    __slots__ = ("value", "high")
+
+    def __init__(self, value: int, high: Optional[int] = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "high", high)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to GroupElement.{name}")
+
+    def __reduce__(self):       # copies and pickles build through __init__
+        return GroupElement, (self.value, self.high)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"GroupElement(value={self.value!r})"
 
 
 class Group:

@@ -12,11 +12,9 @@ tallies under the active latency profile.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import json
-from dataclasses import MISSING, dataclass, field
 from random import Random
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -48,8 +46,10 @@ def expected_messages(scheme: Scheme, n: int) -> int:
     return 4 * (2 * n - 1)
 
 
-def comparison_ratios(n: int) -> tuple[Fraction, Fraction]:
-    """Our message count over each competitor's, as exact fractions."""
+def comparison_ratios(n: int) -> tuple:
+    """Our message count over each competitor's, as two exact
+    :class:`fractions.Fraction` values. ``fractions`` is imported on the
+    first call, not at import, so the return annotation is a plain tuple."""
     from fractions import Fraction
     ours = expected_messages(Scheme.OURS, n)
     return (Fraction(ours, expected_messages(Scheme.CARVAJAL_ROCA, n)),
@@ -101,18 +101,15 @@ def computation_tally_us(scheme: Scheme, op_latency: dict[str, int]) -> Optional
 _ACTIONS = {"tamper": TamperAction, "replay": ReplayAction, "forge": ForgeAction}
 
 
-def _required(f: dataclasses.Field) -> bool:
-    return f.default is MISSING and f.default_factory is MISSING
-
-
-def _check_keys(what: str, fields: tuple, raw: dict) -> None:
-    """Refuse keys that are not among ``fields``, and missing required ones."""
-    unknown = set(raw) - {f.name for f in fields}
+def _check_keys(what: str, names, defaults, raw: dict) -> None:
+    """Refuse keys that are not among ``names``, and missing ones that
+    ``defaults`` holds no value for."""
+    unknown = set(raw) - set(names)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    for f in fields:
-        if _required(f) and f.name not in raw:
-            raise ConfigError(f"missing required {what} key {f.name!r}")
+    for name in names:
+        if name not in raw and name not in defaults:
+            raise ConfigError(f"missing required {what} key {name!r}")
 
 
 _type_hints = functools.cache(get_type_hints)      # read once per class
@@ -151,10 +148,12 @@ def _read_json_object(what: str, path: str) -> dict:
     return data
 
 
-@dataclass
 class ScenarioConfig:
-    """A scenario. The fields, types and defaults are the config schema, and
-    every construction (JSON, keywords, ``dataclasses.replace``) is checked."""
+    """A scenario. The annotations are the config schema, its keys in order
+    and their types, and the class attributes are the optional keys'
+    defaults. Every construction (JSON, keywords, :meth:`replace`) is
+    checked. An instance holds the keys it was given and reads the other
+    keys' defaults from the class."""
 
     group: str
     n_ecus: int
@@ -167,16 +166,18 @@ class ScenarioConfig:
     phase4_sender: int = 0
     replay_cache_size: int = DEFAULT_REPLAY_CACHE
     keyfile: Optional[str] = None
-    adversary: list = field(default_factory=list)
+    adversary: list = ()        # no entries; a given value must be a list
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        _check_keys("config", ScenarioConfig.__annotations__, vars(ScenarioConfig),
+                    values)
+        vars(self).update(values)
         self.validate()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario config must be a JSON object")
-        _check_keys("config", dataclasses.fields(cls), raw)
         nulls = sorted(key for key, value in raw.items() if value is None)
         if nulls:
             raise ConfigError(f"config keys {nulls} are null; leave an "
@@ -186,6 +187,10 @@ class ScenarioConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":
         return cls.from_dict(_read_json_object("config", path))
+
+    def replace(self, **changes) -> "ScenarioConfig":
+        """A copy with ``changes`` applied, checked like any construction."""
+        return type(self)(**{**vars(self), **changes})
 
     def validate(self) -> None:
         _check_values("config", type(self), vars(self))
@@ -224,7 +229,8 @@ def _adversary_action(entry, group: Group):
         raise ConfigError(f"adversary action must be one of {sorted(_ACTIONS)}")
     cls = _ACTIONS[action]
     settings = {k: v for k, v in entry.items() if k not in ("action", "target")}
-    _check_keys(f"{action} adversary", dataclasses.fields(cls)[1:], settings)
+    _check_keys(f"{action} adversary", cls._fields[1:], cls._field_defaults,
+                settings)
     target = entry.get("target")
     try:
         kind = MsgKind(target)
@@ -359,10 +365,10 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
 
 # -- scenario execution -------------------------------------------------------
 
-@dataclass
 class SimReport:
     """Metrics of one simulation run. All fields are JSON-plain types so the
-    report round-trips losslessly through its JSON form."""
+    report round-trips losslessly through its JSON form; the annotations
+    name them, in order."""
 
     group: str
     n_ecus: int
@@ -381,15 +387,33 @@ class SimReport:
     comparison: list
     computation_tally_us: dict
 
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"SimReport takes exactly the fields {self.__slots__}")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def _field_values(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name, in fresh containers; being JSON-plain, they
+        copy losslessly through JSON."""
+        return json.loads(json.dumps(self._field_values()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimReport":
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._field_values(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SimReport":

@@ -17,8 +17,8 @@ Both sides reach the same key because ``u^r = (g^x)^r = (g^r)^x = c^x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from . import primitives
 from .errors import ConsistencyError, DecodeError
@@ -27,8 +27,7 @@ from .group import Group, GroupElement
 PAIRWISE_KEY_LEN = 32
 
 
-@dataclass(frozen=True)
-class KemCiphertext:
+class KemCiphertext(NamedTuple):
     """Encapsulation of one pairwise secret.
 
     ``ephemeral`` is the fresh public element g^r; ``binding`` ties the
@@ -40,8 +39,7 @@ class KemCiphertext:
     binding: GroupElement
 
 
-@dataclass(frozen=True)
-class EcuKeyPair:
+class EcuKeyPair(NamedTuple):
     """Long-term keypair provisioned onto one unit.
 
     ``key_exp`` is the exponent that recovers the shared key; ``bind_exp``

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kem, primitives
 from .errors import ConsistencyError, DecodeError, StateError
@@ -56,8 +55,7 @@ class MsgKind(enum.Enum):
     SEED_BROADCAST = "seed_broadcast"
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     """One logical protocol message, before fragmentation into bus frames."""
 
     kind: MsgKind
@@ -98,8 +96,7 @@ class Disposition(enum.Enum):
     REJECTED = "rejected"    # failed a check; state unchanged
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     disposition: Disposition
     ops: tuple[str, ...]            # what handling the message cost the node
     reason: Optional[str] = None    # reason code when rejected
@@ -132,14 +129,17 @@ class Phase(enum.IntEnum):
     DONE = 3
 
 
-@dataclass
 class SessionState:
     """Per-unit session keying state for phases 4 and 5."""
 
-    round_index: int
-    counter: int
-    session_key: bytes      # 32-byte working key of the current round
-    chain_key: bytes        # 16-byte salt feeding each round derivation
+    __slots__ = ("round_index", "counter", "session_key", "chain_key")
+
+    def __init__(self, round_index: int, counter: int, session_key: bytes,
+                 chain_key: bytes):
+        self.round_index = round_index
+        self.counter = counter
+        self.session_key = session_key  # 32-byte working key of the current round
+        self.chain_key = chain_key      # 16-byte salt feeding each round derivation
 
 
 def _session_keys(group_secret: bytes) -> tuple[bytes, bytes]:

@@ -155,6 +155,14 @@ class TestRunCommand:
         res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
         assert res.returncode == 2
 
+    def test_env_seed_is_validated_like_the_config(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        env = dict(os.environ, CANVAULT_SEED="-1")
+        res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
+        assert res.returncode == 2
+        assert "rng_seed" in res.stderr and "must be >= 0" in res.stderr
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCompareCommand:
     def test_worst_case_row(self, tmp_path):

@@ -441,8 +441,9 @@ from canvault.harness import ScenarioConfig, run_scenario
 toy, grp = get_group("toy23"), get_group("schnorr256")
 toy_cfg = ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3})
 ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
-loaded = {"ctypes", "canvault._libcrypto", "cryptography", "fractions",
-          "decimal", "ssl", "_ssl"} & (set(sys.modules) - before)
+not_in_setup = {"ctypes", "canvault._libcrypto", "cryptography", "fractions",
+                "decimal", "ssl", "_ssl", "dataclasses", "inspect"}
+loaded = not_in_setup & (set(sys.modules) - before)
 if loaded:
     sys.exit(f"setup loaded {sorted(loaded)}")
 run_scenario(toy_cfg)
@@ -489,9 +490,10 @@ def test_backend_loads_on_first_power_not_at_import():
     # run then loads libcrypto for its AES-CTR only: its powers stay on
     # builtin pow and it builds no table. schnorr256's generator table waits
     # for its first generator power. No run loads cryptography. Setup loads
-    # neither fractions, decimal nor ssl, and powers and AES calls never load
-    # ssl. On Linux the process maps exactly one libcrypto file, the copy
-    # hashlib uses, and libcrypto's symbols resolve inside it.
+    # neither fractions, decimal, ssl, dataclasses nor inspect, and powers
+    # and AES calls never load ssl. On Linux the process maps exactly one
+    # libcrypto file, the copy hashlib uses, and libcrypto's symbols resolve
+    # inside it.
     src = Path(canvault.group.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})

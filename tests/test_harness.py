@@ -138,6 +138,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(**self.base(**bad))
 
+    def test_replace_checks_the_copy_and_keeps_the_original(self):
+        cfg = ScenarioConfig.from_dict(self.base(rng_seed=3))
+        assert cfg.replace(rng_seed=5).rng_seed == 5
+        assert cfg.replace(post_ticks=2).rng_seed == 3
+        for bad in ({"rng_seed": -1}, {"n_ecus": 0}, {"extra": 1}):
+            with pytest.raises(ConfigError):
+                cfg.replace(**bad)
+        assert (cfg.rng_seed, cfg.n_ecus) == (3, 2)
+
     def test_largest_group_below_adversary_id_parses(self):
         # ECU 0x6FE gets CAN id 0x7FE, the last one below the adversary's.
         cfg = ScenarioConfig.from_dict(self.base(n_ecus=0x6FF))
@@ -266,9 +275,18 @@ class TestHonestScenarios:
             assert res < 0.01
 
     def test_report_json_round_trip(self):
-        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3,
-                                             post_ticks=5, ctr_max=2))
-        assert SimReport.from_json(report.to_json()) == report
+        report = run_scenario(ScenarioConfig(
+            group="toy23", n_ecus=3, post_ticks=5, ctr_max=2,
+            adversary=[{"action": "forge", "target": "seed_broadcast"}]))
+        text = report.to_json()
+        assert SimReport.from_json(text) == report
+        assert SimReport.from_json(text).to_json() == text
+        # to_dict hands out fresh containers: editing them leaves the report.
+        data = report.to_dict()
+        data["rejections"].clear()
+        data["phase_times"]["pairwise"]["end_us"] = -1
+        data["comparison"][0]["n"] = -1
+        assert report.rejections and report.to_json() == text
 
     def test_phase4_sender_override(self):
         report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3,
