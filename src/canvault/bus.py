@@ -29,7 +29,7 @@ import bisect
 import heapq
 import struct
 from operator import attrgetter
-from typing import NamedTuple, Optional, Protocol, Union
+from typing import Iterable, NamedTuple, Optional, Protocol, Union
 
 from .errors import ConfigError
 from .protocol import ANY_RECEIVER, MESSAGE_OPS, MsgKind, WireMessage
@@ -215,9 +215,11 @@ _node_id = attrgetter("node_id")
 
 
 class Network:
-    """Event-driven broadcast bus with registered protocol nodes."""
+    """Event-driven broadcast bus with registered protocol nodes; ``adversary``
+    arms tampers and replays for every message sent, forgeries included."""
 
-    def __init__(self, cfg: BusConfig, latency: dict[str, dict[str, int]]):
+    def __init__(self, cfg: BusConfig, latency: dict[str, dict[str, int]],
+                 adversary: Iterable[Union[TamperAction, ReplayAction]] = ()):
         self.cfg = cfg
         self.latency = latency
         self.now = 0
@@ -231,8 +233,15 @@ class Network:
         self._transmitting: Optional[CanFdFrame] = None
         self._msg_seq = 0
         self._kind_sent: dict[MsgKind, int] = {k: 0 for k in MsgKind}
-        self._tampers: list[TamperAction] = []
-        self._replays: list[ReplayAction] = []
+        # (kind, occurrence) -> (tamper bits, replay delays) of that message
+        self._adversary: dict[tuple, tuple[list[int], list[int]]] = {}
+        for action in adversary:
+            bits, delays = self._adversary.setdefault(
+                (action.kind, action.occurrence), ([], []))
+            if isinstance(action, TamperAction):
+                bits.append(action.bit)
+            else:
+                delays.append(action.delay_us)
         self._captures: dict[tuple, list] = {}    # (can_id, seq) -> [(frames, delay)]
         self._partial: dict[tuple, dict] = {}     # (can_id, seq) -> {index: frame}
 
@@ -313,13 +322,6 @@ class Network:
             sender=sender_id, receiver=None, origin=sender_id)
         self._schedule(frame, self.now)
 
-    def inject_adversary(self, action: Union[TamperAction, ReplayAction]) -> None:
-        """Register a tamper or replay for every message sent after it."""
-        if isinstance(action, TamperAction):
-            self._tampers.append(action)
-        else:
-            self._replays.append(action)
-
     def forge(self, msg: WireMessage, at_us: int) -> None:
         """Send a fabricated message under the adversary's CAN id."""
         self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, at_us)
@@ -329,19 +331,19 @@ class Network:
         self._msg_seq += 1
         occurrence = self._kind_sent[msg.kind]
         self._kind_sent[msg.kind] = occurrence + 1
-        for tamper in self._tampers:
-            if tamper.kind is msg.kind and tamper.occurrence == occurrence:
-                # The harness checks that the bit lies inside the body.
-                body = bytearray(msg.body)
-                body[tamper.bit // 8] ^= 1 << tamper.bit % 8
-                msg = msg._replace(body=bytes(body))
+        bits, delays = self._adversary.get((msg.kind, occurrence), ((), ()))
+        if bits:
+            # The harness checks that each bit lies inside the body.
+            body = bytearray(msg.body)
+            for bit in bits:
+                body[bit // 8] ^= 1 << bit % 8
+            msg = msg._replace(body=bytes(body))
         frames = fragment(msg, can_id, self._msg_seq, origin)
-        for replay in self._replays:
-            if replay.kind is msg.kind and replay.occurrence == occurrence:
-                copies = [CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
-                                     f.receiver, ADVERSARY_ID) for f in frames]
-                self._captures.setdefault((can_id, self._msg_seq), []) \
-                    .append((copies, replay.delay_us))
+        for delay in delays:
+            copies = [CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
+                                 f.receiver, ADVERSARY_ID) for f in frames]
+            self._captures.setdefault((can_id, self._msg_seq), []) \
+                .append((copies, delay))
         for f in frames:
             self._schedule(f, t)
 

@@ -255,11 +255,11 @@ def _check_latency_profile_name(name: str) -> None:
 _CHARGED_OPS = frozenset().union(*MESSAGE_OPS.values(), ROTATION_OPS)
 
 
-def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
+def load_latency_profile(name: str) -> dict[str, dict[str, int]]:
     """Resolve a preset name or ``custom:<path>`` into a latency table."""
     _check_latency_profile_name(name)
     if name in LATENCY_PRESETS:
-        return name, LATENCY_PRESETS[name]
+        return LATENCY_PRESETS[name]
     table = _read_json_object("latency profile", name.split(":", 1)[1])
     for node_class in ("secu", "ecu"):
         ops = table.get(node_class)
@@ -272,7 +272,7 @@ def load_latency_profile(name: str) -> tuple[str, dict[str, dict[str, int]]]:
         if missing:
             raise ConfigError(
                 f"profile {node_class!r} lacks latencies for {sorted(missing)}")
-    return name, table
+    return table
 
 
 def _forged_body(group: Group, kind: MsgKind, rng: Random) -> bytes:
@@ -464,22 +464,18 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
 def _build(cfg: ScenarioConfig, group: Group, latency: dict[str, dict[str, int]]
            ) -> tuple[Network, Secu, list[Ecu]]:
     """The bus with the SECU and the units on it, the adversary's tampers
-    and replays registered and its forgeries sent."""
+    and replays armed and its forgeries sent."""
     keypairs = generate_keypairs(group, cfg.n_ecus, cfg.rng_seed) \
         if cfg.keyfile is None else load_keyfile(cfg.keyfile, group, cfg.n_ecus)
     secu = Secu(group, [(kp.ecu_id, kp.public) for kp in keypairs])
     ecus = [Ecu(group, kp, ctr_max=cfg.ctr_max,
                 replay_cache_size=cfg.replay_cache_size) for kp in keypairs]
-    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency)
+    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
+    net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency,
+                  [action for action in actions if not isinstance(action, ForgeAction)])
     net.add_secu(secu)
     for ecu in ecus:
         net.add_ecu(ecu)
-    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
-    for action in actions:
-        if not isinstance(action, ForgeAction):
-            net.inject_adversary(action)
-    # Forgeries go out once every tamper and replay is registered, so those
-    # hit a forgery whichever entry is listed first.
     adversary_rng = Random(f"canvault:{cfg.rng_seed}:adversary")
     for action in actions:
         if isinstance(action, ForgeAction):
@@ -527,7 +523,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
             exception for persistence.
     """
     group = get_group(cfg.group)
-    profile_name, latency = load_latency_profile(cfg.latency_profile)
+    latency = load_latency_profile(cfg.latency_profile)
     proto_rng = Random(f"canvault:{cfg.rng_seed}:protocol")
     net, secu, ecus = _build(cfg, group, latency)
 
@@ -558,7 +554,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     }
     report = SimReport(
         group=cfg.group, n_ecus=cfg.n_ecus, rng_seed=cfg.rng_seed,
-        latency_profile=profile_name, logical_messages=logical_messages,
+        latency_profile=cfg.latency_profile, logical_messages=logical_messages,
         frames=net.frames, data_frames=net.data_frames,
         refresh_events=max((e.session.round_index for e in ecus
                             if e.session is not None), default=0),

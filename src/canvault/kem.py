@@ -1,9 +1,11 @@
 """Chosen-ciphertext-secure key encapsulation over a prime-order group.
 
 The central node encapsulates a fresh shared secret to each unit's public
-key; the unit decapsulates and, before deriving anything, recomputes the
-binding element to confirm the ciphertext is consistent. Tampered or forged
-ciphertexts fail that check and are rejected.
+key. The unit decodes the received body with :func:`decode_ciphertext`,
+which refuses a ``c`` outside the subgroup, then decapsulates: before
+deriving anything, it recomputes the binding element to confirm the
+ciphertext is consistent. Tampered or forged ciphertexts fail one of the two
+and are rejected.
 
 Construction sketch (all within an injected :class:`~canvault.group.Group`):
 
@@ -91,46 +93,25 @@ def encapsulate(
 def decapsulate(group: Group, keypair: EcuKeyPair, ct: KemCiphertext) -> bytes:
     """Recover the shared key, rejecting inconsistent ciphertexts.
 
+    ``ct.ephemeral`` must be a subgroup member, as :func:`decode_ciphertext`
+    returns it; the binding need only be a residue. A member ``c`` gives a
+    member ``c^(xt+y)``, so a non-member binding never matches, and the
+    binding's membership is read only on a mismatch, to give the reason.
+
     Raises:
-        ConsistencyError: the binding element does not match the one implied
-            by the keypair, i.e. the ciphertext was forged or mauled.
+        DecodeError: the binding does not match and is not a subgroup member.
+        ConsistencyError: the binding is a member and does not match the one
+            implied by the keypair, i.e. the ciphertext was forged or mauled.
     """
     c = ct.ephemeral
     t = primitives.hash_to_scalar(group, c)
     # Exponents act modulo the group order, so reduce the combined exponent.
     expected = group.exp(c, (keypair.key_exp * t + keypair.bind_exp) % group.order)
     if expected != ct.binding:
+        if not group.is_member(ct.binding):
+            raise DecodeError("binding is not a subgroup member")
         raise ConsistencyError("ciphertext binding check failed")
     return primitives.hash_to_key(group, group.exp(c, keypair.key_exp))
-
-
-def open_ciphertext(group: Group, keypair: EcuKeyPair, body: bytes) -> bytes:
-    """Decapsulate a received ciphertext body, with the reason codes of
-    :func:`decode_ciphertext` followed by :func:`decapsulate`.
-
-    ``c`` is tested for membership (the small-subgroup defence) and the
-    binding only for range before the consistency check. A member ``c`` has a
-    member ``c^(xt+y)``, so a non-member binding can never pass it; the
-    binding's membership is read only on a refusal.
-
-    Raises:
-        DecodeError: wrong length, or either element is not a subgroup member.
-        ConsistencyError: both elements are members and the binding does not
-            match.
-    """
-    n = group.element_len
-    try:
-        ct = KemCiphertext(ephemeral=group.decode_element(body[:n]),
-                           binding=group.decode_residue(body[n:]))
-    except DecodeError:
-        decode_ciphertext(group, body)      # raises, with the reason
-        raise
-    try:
-        return decapsulate(group, keypair, ct)
-    except ConsistencyError:
-        if not group.is_member(ct.binding):
-            raise DecodeError("binding is not a subgroup member") from None
-        raise
 
 
 def encode_ciphertext(group: Group, ct: KemCiphertext) -> bytes:
@@ -139,9 +120,14 @@ def encode_ciphertext(group: Group, ct: KemCiphertext) -> bytes:
 
 
 def decode_ciphertext(group: Group, data: bytes) -> KemCiphertext:
-    """Inverse of :func:`encode_ciphertext`; rejects non-member elements and,
-    through the two fixed-length halves, every wrong length."""
-    return KemCiphertext(
-        ephemeral=group.decode_element(data[: group.element_len]),
-        binding=group.decode_element(data[group.element_len:]),
-    )
+    """Inverse of :func:`encode_ciphertext`, and the one decoder of a received
+    body: ``c`` must be a subgroup member (the small-subgroup defence), the
+    binding only a residue, whose membership :func:`decapsulate` reads.
+
+    Raises:
+        DecodeError: a half of the wrong length, a non-member ``c``, or a
+            binding outside [1, modulus).
+    """
+    n = group.element_len
+    return KemCiphertext(ephemeral=group.decode_element(data[:n]),
+                         binding=group.decode_residue(data[n:]))

@@ -282,7 +282,8 @@ class Ecu:
 
     def handle_pairwise(self, msg: WireMessage) -> Outcome:
         try:
-            key = kem.open_ciphertext(self.group, self.keypair, msg.body)
+            key = kem.decapsulate(self.group, self.keypair,
+                                  kem.decode_ciphertext(self.group, msg.body))
         except DecodeError:
             return _rejected(msg, "decode")
         except ConsistencyError:

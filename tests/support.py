@@ -1,5 +1,6 @@
 """Helpers only the tests call: group arithmetic beyond what the protocol
-uses, a least-squares fit, and the acceptance filter as a predicate.
+uses, a reference ciphertext decode, a least-squares fit, and the acceptance
+filter as a predicate.
 
 A group needs no more than the members the protocol calls, so the tests'
 oracles for it (products, the identity, enumeration, security level) live
@@ -10,6 +11,7 @@ order and generator.
 from __future__ import annotations
 
 from canvault.group import Group, GroupElement
+from canvault.kem import KemCiphertext
 from canvault.protocol import ANY_RECEIVER, WireMessage
 
 
@@ -30,6 +32,15 @@ def elements(group: Group) -> list[GroupElement]:
         out.append(cur)
         cur = mul(group, cur, group.generator)
     return out
+
+
+def decoded_as_members(group: Group, body: bytes) -> KemCiphertext:
+    """The reference decode of a ciphertext body: both halves through
+    :meth:`~canvault.group.Group.decode_element`, so a non-member binding is
+    refused before any binding check."""
+    n = group.element_len
+    return KemCiphertext(group.decode_element(body[:n]),
+                         group.decode_element(body[n:]))
 
 
 def security_bits(group: Group) -> int:

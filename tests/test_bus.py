@@ -308,9 +308,9 @@ class TestTamper:
 
         def wire(*actions):
             listener = StubNode(1, (SEEDS,))
-            net = stub_net(StubNode(0, ()), listener)
-            for action in actions:
-                net.inject_adversary(action)
+            net = Network(BusConfig(), LATENCY_PRESETS["stm32"], actions)
+            net.add_ecu(StubNode(0, ()))
+            net.add_ecu(listener)
             net.schedule_protocol_send(
                 0, [WireMessage(MsgKind.SEED_BROADCAST, 0, None, body)])
             net.run_to_quiescence()

@@ -65,7 +65,7 @@ class TestMessageFormulas:
 
 class TestComputationTally:
     def test_stm32_tallies(self):
-        table = load_latency_profile("stm32")[1]["secu"]
+        table = load_latency_profile("stm32")["secu"]
         assert computation_tally_us(Scheme.OURS, table) == \
             5 * 3000 + 4 * 40 + 6 * 300 + 4 * 40 + 2 * 40
         assert computation_tally_us(Scheme.CARVAJAL_ROCA, table) == \
@@ -74,7 +74,7 @@ class TestComputationTally:
             2870 + 2 * 4460 + 4 * 3000 + 4 * 40
 
     def test_tally_none_without_signature_timings(self):
-        table = load_latency_profile("w806")[1]["secu"]
+        table = load_latency_profile("w806")["secu"]
         assert computation_tally_us(Scheme.MUSUROI, table) is None
         assert computation_tally_us(Scheme.OURS, table) is not None
 
@@ -216,7 +216,7 @@ class TestConfigValidation:
                  "ecu": {"eccdh": 20, "hkdf": 2, "aes": 1, "hmac": 1}}
         path = tmp_path / "prof.json"
         path.write_text(json.dumps(table))
-        name, loaded = load_latency_profile(f"custom:{path}")
+        loaded = load_latency_profile(f"custom:{path}")
         assert loaded == table
         report = run_scenario(ScenarioConfig(
             group="toy23", n_ecus=1, latency_profile=f"custom:{path}"))
@@ -302,7 +302,7 @@ class TestHonestScenarios:
 
 
 def _closed_form(cfg: ScenarioConfig) -> dict:
-    _, latency = load_latency_profile(cfg.latency_profile)
+    latency = load_latency_profile(cfg.latency_profile)
     return expected_phase_times(get_group(cfg.group), cfg.n_ecus, latency,
                                 BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits))
 

@@ -10,7 +10,7 @@ import pytest
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError
 from canvault.group import Group, GroupElement, get_group
-from support import elements, mul
+from support import decoded_as_members, elements, mul
 
 
 class ScriptedRng:
@@ -106,10 +106,11 @@ class TestToyExhaustive:
                             with pytest.raises(ConsistencyError):
                                 kem.decapsulate(toy, kp, ct)
 
-    def test_open_ciphertext_matches_decode_then_decapsulate(self, toy):
+    def test_decode_then_decapsulate_matches_decoding_both_halves(self, toy):
         """Every pair of one-byte halves, members or not, gets the same key
-        or the same refusal from :func:`kem.open_ciphertext` as from
-        :func:`kem.decode_ciphertext` followed by :func:`kem.decapsulate`."""
+        or the same refusal from :func:`kem.decode_ciphertext` followed by
+        :func:`kem.decapsulate` as from decoding both halves as members
+        first, which refuses a non-member binding before the binding check."""
         def outcome(step):
             try:
                 return step()
@@ -121,9 +122,10 @@ class TestToyExhaustive:
             kp = kem.keygen(toy, 0, ScriptedRng([x, y]))
             for c, binding in product(halves, repeat=2):
                 body = bytes([c, binding])
-                assert outcome(lambda: kem.open_ciphertext(toy, kp, body)) == \
+                assert outcome(lambda: kem.decapsulate(
+                    toy, kp, kem.decode_ciphertext(toy, body))) == \
                     outcome(lambda: kem.decapsulate(
-                        toy, kp, kem.decode_ciphertext(toy, body))), (x, y, body)
+                        toy, kp, decoded_as_members(toy, body))), (x, y, body)
 
     def test_every_binding_perturbation_rejected(self, toy):
         kp = kem.keygen(toy, 0, ScriptedRng([3, 5]))
@@ -199,7 +201,8 @@ def test_backend_calls_per_unit_on_schnorr256(counted):
     assert used() == ["fixed", "fixed"]
     key, ct = kem.encapsulate(grp, kp.public, rng)
     assert used() == ["fixed", "exp", "exp2"]
-    assert kem.open_ciphertext(grp, kp, kem.encode_ciphertext(grp, ct)) == key
+    body = kem.encode_ciphertext(grp, ct)
+    assert kem.decapsulate(grp, kp, kem.decode_ciphertext(grp, body)) == key
     assert used() == ["exp", "exp2", "exp2", "exp2"]
 
 
@@ -218,8 +221,23 @@ def test_backend_calls_per_refused_binding(counted, binding, error):
     body = grp.encode_element(ct.ephemeral) + grp.encode_element(binding(grp))
     used()
     with pytest.raises(error):
-        kem.open_ciphertext(grp, kp, body)
+        kem.decapsulate(grp, kp, kem.decode_ciphertext(grp, body))
     assert used() == ["exp", "exp2", "exp2", "exp"]
+
+
+def test_backend_calls_per_refused_c(counted):
+    """A non-member c costs its decode, c^(2^h) and c^order, and nothing
+    more: the body is decoded once, and no binding check runs."""
+    grp, used = counted
+    rng = Random(104)
+    kp = kem.keygen(grp, 0, rng)
+    _, ct = kem.encapsulate(grp, kp.public, rng)
+    body = grp.encode_element(GroupElement(grp.modulus - 1)) + \
+        grp.encode_element(ct.binding)
+    used()
+    with pytest.raises(DecodeError):
+        kem.decapsulate(grp, kp, kem.decode_ciphertext(grp, body))
+    assert used() == ["exp", "exp2"]
 
 
 class TestExponentHashCollisions:
@@ -262,9 +280,13 @@ class TestCiphertextCodec:
         with pytest.raises(DecodeError):
             kem.decode_ciphertext(toy, b"\x02\x03\x04")
 
-    def test_non_member_halves_rejected(self, toy):
-        # 5 and 7 are outside the order-11 subgroup of Z*_23
+    # 5 and 7 are outside the order-11 subgroup of Z*_23.
+    def test_non_member_c_rejected(self, toy):
         with pytest.raises(DecodeError):
             kem.decode_ciphertext(toy, bytes([5, 2]))
+
+    def test_non_member_binding_rejected_by_decapsulate(self, toy):
+        kp = kem.keygen(toy, 0, ScriptedRng([3, 5]))
+        ct = kem.decode_ciphertext(toy, bytes([2, 7]))
         with pytest.raises(DecodeError):
-            kem.decode_ciphertext(toy, bytes([2, 7]))
+            kem.decapsulate(toy, kp, ct)

@@ -13,7 +13,7 @@ from canvault.protocol import (BROADCAST, DATA_FRAMES, MESSAGE_OPS,
                                ROTATION_OPS, SECU_ID, Disposition, Ecu, MsgKind,
                                Phase, Secu, WireMessage, _ReplayCache,
                                body_length)
-from support import mul, passes
+from support import decoded_as_members, mul, passes
 
 
 @pytest.fixture(scope="module")
@@ -169,9 +169,10 @@ def received(group, keypair, body):
 
 
 def decoded_then_decapsulated(group, keypair, body):
-    """The same triple from decoding both elements first, then decapsulating."""
+    """The same triple from decoding both elements as members first, then
+    decapsulating."""
     try:
-        ct = kem.decode_ciphertext(group, body)
+        ct = decoded_as_members(group, body)
     except DecodeError:
         return "rejected", "decode", None
     try:
@@ -201,7 +202,8 @@ CIPHER_EDITS = {
 class TestReceivePathEquivalence:
     """The unit checks c's membership, then only the binding's range before
     the binding check, and the binding's membership only on a mismatch. Its
-    disposition, reason and key must equal decoding both elements first."""
+    disposition, reason and key must equal decoding both elements as members
+    first."""
 
     def test_every_small_body_on_toy23(self, toy):
         rng = Random(3)
