@@ -16,10 +16,10 @@ The key distribution runs in numbered phases:
 
 The classes here are pure state machines: they consume and produce
 :class:`WireMessage` objects and know nothing about frames or timing. A
-rejected message never raises out of a handler; handlers return an
-:class:`Outcome` with a reason code so a node keeps running after a bad
-frame. Each node declares the message streams its acceptance filter passes,
-and each outcome carries the ops its handling cost, which the bus charges.
+node's one receive method, ``handle``, returns an :class:`Outcome` with a
+reason code rather than raise, and :func:`_open` checks every MAC'd body.
+Each node declares the streams its acceptance filter passes, and each
+outcome carries the ops its handling cost, which the bus charges.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class Outcome(NamedTuple):
         return self.disposition is Disposition.REJECTED
 
 
-_IGNORED = Outcome(Disposition.IGNORED, ())
-
-
 # The op lists are read on each call, so a patched list is charged at once.
 def _accepted(msg: WireMessage) -> Outcome:
     return Outcome(Disposition.ACCEPTED, MESSAGE_OPS[msg.kind])
@@ -142,6 +139,11 @@ class SessionState:
         self.chain_key = chain_key      # 16-byte salt feeding each round derivation
 
 
+def _group_keys(pairwise: bytes) -> tuple[bytes, bytes]:
+    """The wrapping key and the MAC key of a unit's group-secret message."""
+    return primitives.hkdf_split(pairwise, _SPLIT_GROUP_INFO)
+
+
 def _session_keys(group_secret: bytes) -> tuple[bytes, bytes]:
     """The chain key and the seed-MAC key of the session phase."""
     return primitives.hkdf_split(group_secret, _SPLIT_SESSION_INFO)
@@ -157,6 +159,29 @@ def _first_round(seed: bytes, chain_key: bytes) -> SessionState:
     key = primitives.hkdf_session(seed, 0, chain_key)
     return SessionState(round_index=0, counter=0, session_key=key,
                         chain_key=chain_key)
+
+
+class _Refused(Exception):
+    """A MAC'd body failed a check; its one argument is the reason code."""
+
+
+def _open(body: bytes, length: int, secret: Optional[bytes], split,
+          seen) -> tuple[bytes, bytes, bytes]:
+    """Check a MAC'd body ``data + tag`` and return ``(key, data, tag)``, with
+    ``key`` the first of ``split(secret)``. The first failing check raises
+    :class:`_Refused`: ``state`` (no secret), ``decode`` (not ``length`` bytes),
+    ``replay`` (tag in ``seen``), ``mac``; only a ``mac`` refusal derives keys."""
+    if secret is None:
+        raise _Refused("state")
+    if len(body) != length:
+        raise _Refused("decode")
+    data, tag = body[:-MAC_LEN], body[-MAC_LEN:]
+    if tag in seen:
+        raise _Refused("replay")
+    key, mac_key = split(secret)
+    if not primitives.hmac_verify(data, mac_key, tag):
+        raise _Refused("mac")
+    return key, data, tag
 
 
 class _ReplayCache:
@@ -218,8 +243,7 @@ class Secu:
         secret = rng.randbytes(GROUP_SECRET_LEN)
         msgs = []
         for ecu_id, _ in self.registry:
-            enc_key, mac_key = primitives.hkdf_split(self.pairwise[ecu_id],
-                                                     _SPLIT_GROUP_INFO)
+            enc_key, mac_key = _group_keys(self.pairwise[ecu_id])
             nonce = rng.randbytes(primitives.NONCE_LEN)
             wrapped = primitives.sym_encrypt(secret, enc_key, nonce)
             tag = primitives.hmac_tag(wrapped, mac_key)
@@ -233,13 +257,12 @@ class Secu:
         """Observe a seed broadcast; outside phase 3's wait for it, the seed
         is ignored at no cost."""
         if self.phase is not Phase.GROUP_SECRET:
-            return _IGNORED
-        if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
-            return _rejected(msg, "decode")
-        seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
-        _, mac_key = _session_keys(self.group_secret)
-        if not primitives.hmac_verify(seed, mac_key, tag):
-            return _rejected(msg, "mac")
+            return Outcome(Disposition.IGNORED, ())
+        try:
+            _open(msg.body, body_length(self.group, MsgKind.SEED_BROADCAST),
+                  self.group_secret, _session_keys, ())
+        except _Refused as refused:
+            return _rejected(msg, refused.args[0])
         self.phase = Phase.DONE
         return _accepted(msg)
 
@@ -274,35 +297,27 @@ class Ecu:
                 SEEDS, DATA_FRAMES)
 
     def handle(self, msg: WireMessage) -> Outcome:
-        if msg.kind is MsgKind.PAIRWISE_CIPHER:
-            return self.handle_pairwise(msg)
-        if msg.kind is MsgKind.GROUP_SECRET:
-            return self.handle_group_secret(msg)
-        return self.handle_seed(msg)
-
-    def handle_pairwise(self, msg: WireMessage) -> Outcome:
+        """Take a pairwise ciphertext, a group secret or a seed."""
         try:
-            key = kem.decapsulate(self.group, self.keypair,
-                                  kem.decode_ciphertext(self.group, msg.body))
+            if msg.kind is MsgKind.PAIRWISE_CIPHER:
+                ct = kem.decode_ciphertext(self.group, msg.body)
+                self.pairwise = kem.decapsulate(self.group, self.keypair, ct)
+                return _accepted(msg)
+            wrapped = msg.kind is MsgKind.GROUP_SECRET
+            key, data, tag = _open(msg.body, body_length(self.group, msg.kind),
+                                   self.pairwise if wrapped else self.group_secret,
+                                   _group_keys if wrapped else _session_keys,
+                                   self.replay_cache)
         except DecodeError:
             return _rejected(msg, "decode")
         except ConsistencyError:
             return _rejected(msg, "consistency")
-        self.pairwise = key
-        return _accepted(msg)
-
-    def handle_group_secret(self, msg: WireMessage) -> Outcome:
-        if self.pairwise is None:
-            return _rejected(msg, "state")
-        if len(msg.body) != body_length(self.group, MsgKind.GROUP_SECRET):
-            return _rejected(msg, "decode")
-        wrapped, tag = msg.body[:-MAC_LEN], msg.body[-MAC_LEN:]
-        if tag in self.replay_cache:
-            return _rejected(msg, "replay")
-        enc_key, mac_key = primitives.hkdf_split(self.pairwise, _SPLIT_GROUP_INFO)
-        if not primitives.hmac_verify(wrapped, mac_key, tag):
-            return _rejected(msg, "mac")
-        self.group_secret = primitives.sym_decrypt(wrapped, enc_key)
+        except _Refused as refused:
+            return _rejected(msg, refused.args[0])
+        if wrapped:
+            self.group_secret = primitives.sym_decrypt(data, key)
+        else:
+            self.session = _first_round(data, key)
         self.replay_cache.add(tag)
         return _accepted(msg)
 
@@ -319,21 +334,6 @@ class Ecu:
         self.replay_cache.add(tag)
         return WireMessage(MsgKind.SEED_BROADCAST, self.ecu_id, BROADCAST,
                            seed + tag)
-
-    def handle_seed(self, msg: WireMessage) -> Outcome:
-        if self.group_secret is None:
-            return _rejected(msg, "state")
-        if len(msg.body) != body_length(self.group, MsgKind.SEED_BROADCAST):
-            return _rejected(msg, "decode")
-        seed, tag = msg.body[:SEED_LEN], msg.body[SEED_LEN:]
-        if tag in self.replay_cache:
-            return _rejected(msg, "replay")
-        chain_key, mac_key = _session_keys(self.group_secret)
-        if not primitives.hmac_verify(seed, mac_key, tag):
-            return _rejected(msg, "mac")
-        self.session = _first_round(seed, chain_key)
-        self.replay_cache.add(tag)
-        return _accepted(msg)
 
     def on_data_frame(self) -> tuple[str, ...]:
         """Count one data frame seen on the bus; returns the ops it ran,

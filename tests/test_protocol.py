@@ -1,12 +1,15 @@
 """State-machine tests: phases run by hand-delivering messages, no bus."""
 
+import ast
+import inspect
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canvault import kem
+import canvault.protocol
+from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError, StateError
 from canvault.group import get_group
 from canvault.protocol import (BROADCAST, DATA_FRAMES, MESSAGE_OPS,
@@ -357,6 +360,112 @@ class TestPhase4:
         assert ecus[1].session is None
 
 
+def _flip(body, index):
+    edited = bytearray(body)
+    edited[index] ^= 1
+    return bytes(edited)
+
+
+def _state(node):
+    """What a refused message must leave as it was."""
+    if isinstance(node, Secu):
+        return node.phase, node.group_secret
+    session = node.session and (node.session.session_key, node.session.round_index)
+    return node.pairwise, node.group_secret, session, len(node.replay_cache)
+
+
+def _refusal(toy, path, case):
+    """The node and the message of one refusal-order row. The node is keyed
+    for the message; a ``cached`` case has it accept the honest copy first."""
+    secu, ecus, rng = build_nodes(toy, 3)
+    deliver_all(secu.run_phase2(rng), ecus)
+    group_msgs = secu.run_phase3(rng)
+    deliver_all(group_msgs[:2], ecus)       # unit 2 holds the pairwise secret only
+    seed = ecus[0].run_phase4(rng)
+    node, honest = {"unit group secret": (ecus[2], group_msgs[2]),
+                    "unit seed": (ecus[1], seed), "secu seed": (secu, seed)}[path]
+    if case == "2-byte pairwise_cipher":
+        # A toy23 ciphertext's length: to the SECU every message is a seed.
+        return node, WireMessage(MsgKind.PAIRWISE_CIPHER, 0, SECU_ID, bytes(2))
+    if case.startswith("cached"):
+        assert node.handle(honest).accepted
+    body = {"unkeyed, wrong length": honest.body[1:],
+            "cached tag, wrong length": b"\0" + honest.body,
+            "cached tag, altered data": _flip(honest.body, 0),
+            "bad tag": _flip(honest.body, -1),
+            "bad tag, wrong length": b"\0" + _flip(honest.body, -1)}[case]
+    if case.startswith("unkeyed"):
+        node = Ecu(toy, node.keypair)
+    return node, honest._replace(body=body)
+
+
+def _counted(calls, name, real):
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+    return counted
+
+
+class TestRefusalOrder:
+    """Every MAC'd body is checked in the order state, decode, replay, mac:
+    each body below fails two checks and the first one is its reason. Only a
+    MAC check derives keys and computes a MAC."""
+
+    @pytest.mark.parametrize("path, case, reason", [
+        (path, case, reason)
+        for path in ("unit group secret", "unit seed")
+        for case, reason in (("unkeyed, wrong length", "state"),
+                             ("cached tag, wrong length", "decode"),
+                             ("cached tag, altered data", "replay"),
+                             ("bad tag", "mac"))
+    ] + [("secu seed", "bad tag, wrong length", "decode"),
+         ("secu seed", "bad tag", "mac"),
+         ("secu seed", "2-byte pairwise_cipher", "decode")])
+    def test_first_failing_check_is_the_reason(self, toy, monkeypatch, path,
+                                               case, reason):
+        node, msg = _refusal(toy, path, case)
+        calls = {"hkdf_split": 0, "hmac_verify": 0}
+        for name in calls:
+            monkeypatch.setattr(primitives, name,
+                                _counted(calls, name, getattr(primitives, name)))
+        before = _state(node)
+        out = node.handle(msg)
+        assert out.rejected and out.reason == reason
+        assert _state(node) == before
+        expected = 1 if reason == "mac" else 0
+        assert calls == {"hkdf_split": expected, "hmac_verify": expected}
+
+
+def _readers(source, names):
+    """The function around each read of ``names`` in ``source`` (None at
+    module level), read as a bare name or as an attribute."""
+    found = {name: [] for name in names}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                found.get(child.id, []).append(func)
+            elif isinstance(child, ast.Attribute):
+                found.get(child.attr, []).append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_each_receive_check_and_key_split_lives_in_one_function():
+    # One MAC check for every MAC'd body, unit and SECU alike, and one
+    # reader of each domain-separation label, sender and receiver alike.
+    source = inspect.getsource(canvault.protocol)
+    assert _readers(source, ("hmac_verify", "_SPLIT_GROUP_INFO",
+                             "_SPLIT_SESSION_INFO")) == {
+        "hmac_verify": ["_open"], "_SPLIT_GROUP_INFO": ["_group_keys"],
+        "_SPLIT_SESSION_INFO": ["_session_keys"]}
+
+
 class TestCounterRefresh:
     def test_five_ticks_at_max_four_give_one_refresh(self, toy):
         _, ecus, _ = run_to_session(toy, 1, ctr_max=4)
@@ -417,17 +526,24 @@ class TestPhaseMonotonicityAndRobustness:
         kinds = list(MsgKind)
         deliver_all(secu.run_phase2(rng), ecus)
         history = [secu.phase]
+        reasons = set()
         for _ in range(300):
             kind = soup_rng.choice(kinds)
+            length = body_length(toy, kind)
             body = soup_rng.randbytes(soup_rng.choice(
-                [0, 1, 2, 48, 64, body_length(toy, kind)]))
+                [0, 1, 2, 48, 64, length - 1, length, length + 1]))
             msg = WireMessage(kind, soup_rng.choice([SECU_ID, 0, 1]),
                               soup_rng.choice([None, 0, 1]), body)
-            secu.handle(msg)
-            for ecu in ecus:
-                ecu.handle(msg)     # must not raise
+            for node in [secu, *ecus]:
+                before = _state(node)
+                out = node.handle(msg)     # must not raise
+                if out.rejected:
+                    reasons.add(out.reason)
+                    assert _state(node) == before
             history.append(secu.phase)
         assert all(b >= a for a, b in zip(history, history[1:]))
+        assert {"decode", "mac", "state"} <= reasons
+        assert reasons <= {"decode", "consistency", "mac", "replay", "state"}
 
     def test_replay_cache_is_bounded(self, toy):
         secu, ecus, rng = build_nodes(toy, 1, cache=8)
