@@ -14,8 +14,9 @@ Models the pieces of the bus that matter for protocol accounting:
   pays its message kind's ops, and a listener the ops its handler or its
   data-frame hook reports, so phase durations reflect the configured
   hardware class,
-* an adversary that can tamper frames in flight, replay captured messages,
-  and forge new ones.
+* one send path, :meth:`Network.send`, that passes every message to the
+  run's :class:`~canvault.adversary.Adversary` (which may tamper it or arm
+  replays) and then sends each armed replay copy after the original.
 
 The bus knows no protocol rule beyond each kind's send cost: any node that
 declares its streams and answers :class:`Machine`'s calls can join. Everything
@@ -29,8 +30,9 @@ import bisect
 import heapq
 import struct
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Protocol, Union
+from typing import Optional, Protocol
 
+from .adversary import ADVERSARY_ID, Adversary
 from .errors import ConfigError
 from .protocol import ANY_RECEIVER, MESSAGE_OPS, MsgKind, WireMessage
 
@@ -41,8 +43,6 @@ FRAME_DATA_MAX = 60
 
 SECU_CAN_ID = 0x010
 ECU_CAN_BASE = 0x100
-ADVERSARY_CAN_ID = 0x7FF
-ADVERSARY_ID = -2           # origin marker for injected frames
 
 _DATA_PAYLOAD = b"\x00" * 8
 
@@ -151,32 +151,6 @@ LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
 }
 
 
-class TamperAction(NamedTuple):
-    """Flip one bit of a message body while its frame is in flight.
-
-    ``occurrence`` counts messages of the kind in send order; ``bit`` indexes
-    into the body, LSB-first within each byte.
-    """
-    kind: MsgKind
-    bit: int
-    occurrence: int = 0
-
-
-class ReplayAction(NamedTuple):
-    """Re-inject a verbatim copy of a captured message's frames."""
-    kind: MsgKind
-    occurrence: int = 0
-    delay_us: int = 0
-
-
-class ForgeAction(NamedTuple):
-    """Send a fabricated message at a chosen time under the adversary id;
-    the harness draws its body and claims the central node as sender."""
-    kind: MsgKind
-    receiver: Optional[int] = None
-    at_us: int = 0
-
-
 class Machine(Protocol):
     """A node's state machine, as the bus calls it.
 
@@ -215,11 +189,11 @@ _node_id = attrgetter("node_id")
 
 
 class Network:
-    """Event-driven broadcast bus with registered protocol nodes; ``adversary``
-    arms tampers and replays for every message sent, forgeries included."""
+    """Event-driven broadcast bus with registered protocol nodes; every
+    message sent passes through ``adversary``, a fresh idle one if none."""
 
     def __init__(self, cfg: BusConfig, latency: dict[str, dict[str, int]],
-                 adversary: Iterable[Union[TamperAction, ReplayAction]] = ()):
+                 adversary: Optional[Adversary] = None):
         self.cfg = cfg
         self.latency = latency
         self.now = 0
@@ -232,16 +206,7 @@ class Network:
         self._pending: list = []            # (can_id, serial, frame)
         self._transmitting: Optional[CanFdFrame] = None
         self._msg_seq = 0
-        self._kind_sent: dict[MsgKind, int] = {k: 0 for k in MsgKind}
-        # (kind, occurrence) -> (tamper bits, replay delays) of that message
-        self._adversary: dict[tuple, tuple[list[int], list[int]]] = {}
-        for action in adversary:
-            bits, delays = self._adversary.setdefault(
-                (action.kind, action.occurrence), ([], []))
-            if isinstance(action, TamperAction):
-                bits.append(action.bit)
-            else:
-                delays.append(action.delay_us)
+        self.adversary = Adversary() if adversary is None else adversary
         self._captures: dict[tuple, list] = {}    # (can_id, seq) -> [(frames, delay)]
         self._partial: dict[tuple, dict] = {}     # (can_id, seq) -> {index: frame}
 
@@ -276,22 +241,6 @@ class Network:
         merged = {node.node_id: node for node in exact + wild}
         return [merged[i] for i in sorted(merged)]
 
-    @property
-    def frames(self) -> int:
-        """Key-management frames, adversary frames and replay copies included."""
-        return sum(f.kind is not None for f in self.sent)
-
-    @property
-    def data_frames(self) -> int:
-        return sum(f.kind is None for f in self.sent)
-
-    @property
-    def logical_messages(self) -> int:
-        """Messages the protocol nodes sent, each counted by its first frame.
-        Complete once the bus is quiescent, when every queued frame is sent."""
-        return sum(f.kind is not None and f.origin != ADVERSARY_ID and
-                   f.header[1] == 0 for f in self.sent)
-
     # -- scheduling -------------------------------------------------------
 
     def _work(self, node: _Node, ops: tuple[str, ...]) -> int:
@@ -312,7 +261,7 @@ class Network:
         node = self._nodes[sender_id]
         for msg in msgs:
             t = self._work(node, MESSAGE_OPS[msg.kind])
-            self._send_message(node.node_id, node.can_id, msg, t)
+            self.send(node.node_id, node.can_id, msg, t)
 
     def schedule_data_frame(self, sender_id: int) -> None:
         """Queue one plain application frame now (counter tick driver)."""
@@ -322,22 +271,12 @@ class Network:
             sender=sender_id, receiver=None, origin=sender_id)
         self._schedule(frame, self.now)
 
-    def forge(self, msg: WireMessage, at_us: int) -> None:
-        """Send a fabricated message under the adversary's CAN id."""
-        self._send_message(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, at_us)
-
-    def _send_message(self, origin: int, can_id: int, msg: WireMessage,
-                      t: int) -> None:
+    def send(self, origin: int, can_id: int, msg: WireMessage, t: int) -> None:
+        """Offer one message's frames to the bus at ``t`` under ``can_id``,
+        as the adversary lets it through; its replay copies follow once the
+        original's last frame has left the bus."""
         self._msg_seq += 1
-        occurrence = self._kind_sent[msg.kind]
-        self._kind_sent[msg.kind] = occurrence + 1
-        bits, delays = self._adversary.get((msg.kind, occurrence), ((), ()))
-        if bits:
-            # The harness checks that each bit lies inside the body.
-            body = bytearray(msg.body)
-            for bit in bits:
-                body[bit // 8] ^= 1 << bit % 8
-            msg = msg._replace(body=bytes(body))
+        msg, delays = self.adversary.on_send(msg)
         frames = fragment(msg, can_id, self._msg_seq, origin)
         for delay in delays:
             copies = [CanFdFrame(f.can_id, f.payload, f.kind, f.sender,

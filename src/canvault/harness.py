@@ -19,9 +19,10 @@ from random import Random
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import kem
-from .bus import (ADVERSARY_CAN_ID, ADVERSARY_ID, ECU_CAN_BASE, LATENCY_PRESETS,
-                  MAX_MSG_SEQ, BusConfig, ForgeAction, Network, ReplayAction,
-                  TamperAction, fragment, fragment_count, frame_time_us)
+from .adversary import (ACTIONS, ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
+                        ForgeAction, TamperAction)
+from .bus import (ECU_CAN_BASE, LATENCY_PRESETS, MAX_MSG_SEQ, BusConfig,
+                  Network, fragment, fragment_count, frame_time_us)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, MESSAGE_OPS, \
@@ -95,11 +96,6 @@ def computation_tally_us(scheme: Scheme, op_latency: dict[str, int]) -> Optional
 
 
 # -- scenario configuration -------------------------------------------------
-
-# An adversary entry names its action and, as ``target``, the action's first
-# field ``kind``; its other keys are the action's other fields and defaults.
-_ACTIONS = {"tamper": TamperAction, "replay": ReplayAction, "forge": ForgeAction}
-
 
 def _check_keys(what: str, names, defaults, raw: dict) -> None:
     """Refuse keys that are not among ``names``, and missing ones that
@@ -221,13 +217,13 @@ class ScenarioConfig:
 
 
 def _adversary_action(entry, group: Group):
-    """Check one adversary config entry and return its bus action."""
+    """Check one adversary config entry and return its action."""
     if not isinstance(entry, dict):
         raise ConfigError("adversary entries must be objects")
     action = entry.get("action")
-    if not isinstance(action, str) or action not in _ACTIONS:
-        raise ConfigError(f"adversary action must be one of {sorted(_ACTIONS)}")
-    cls = _ACTIONS[action]
+    if not isinstance(action, str) or action not in ACTIONS:
+        raise ConfigError(f"adversary action must be one of {sorted(ACTIONS)}")
+    cls = ACTIONS[action]
     settings = {k: v for k, v in entry.items() if k not in ("action", "target")}
     _check_keys(f"{action} adversary", cls._fields[1:], cls._field_defaults,
                 settings)
@@ -273,16 +269,6 @@ def load_latency_profile(name: str) -> dict[str, dict[str, int]]:
             raise ConfigError(
                 f"profile {node_class!r} lacks latencies for {sorted(missing)}")
     return table
-
-
-def _forged_body(group: Group, kind: MsgKind, rng: Random) -> bytes:
-    if kind is MsgKind.PAIRWISE_CIPHER:
-        # Random valid group elements: they decode fine and then fail the
-        # decapsulation consistency check.
-        return b"".join(
-            group.encode_element(group.exp(group.generator, group.random_scalar(rng)))
-            for _ in range(2))
-    return rng.randbytes(body_length(group, kind))
 
 
 # -- key parameter files ------------------------------------------------------
@@ -463,25 +449,21 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
 
 def _build(cfg: ScenarioConfig, group: Group, latency: dict[str, dict[str, int]]
            ) -> tuple[Network, Secu, list[Ecu]]:
-    """The bus with the SECU and the units on it, the adversary's tampers
-    and replays armed and its forgeries sent."""
+    """The bus with the SECU and the units on it, and the adversary built
+    from the config's entries with its forgeries sent."""
     keypairs = generate_keypairs(group, cfg.n_ecus, cfg.rng_seed) \
         if cfg.keyfile is None else load_keyfile(cfg.keyfile, group, cfg.n_ecus)
     secu = Secu(group, [(kp.ecu_id, kp.public) for kp in keypairs])
     ecus = [Ecu(group, kp, ctr_max=cfg.ctr_max,
                 replay_cache_size=cfg.replay_cache_size) for kp in keypairs]
-    actions = [_adversary_action(entry, group) for entry in cfg.adversary]
+    adversary = Adversary([_adversary_action(entry, group) for entry in cfg.adversary],
+                          group, cfg.rng_seed)
     net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency,
-                  [action for action in actions if not isinstance(action, ForgeAction)])
+                  adversary)
     net.add_secu(secu)
     for ecu in ecus:
         net.add_ecu(ecu)
-    adversary_rng = Random(f"canvault:{cfg.rng_seed}:adversary")
-    for action in actions:
-        if isinstance(action, ForgeAction):
-            body = _forged_body(group, action.kind, adversary_rng)
-            net.forge(WireMessage(action.kind, SECU_ID, action.receiver, body),
-                      action.at_us)
+    adversary.start(net)
     return net, secu, ecus
 
 
@@ -541,12 +523,18 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     net.run_to_quiescence()
 
     converged, foreign = _key_checks(secu, ecus)
-    logical_messages = net.logical_messages
+    # One pass over the quiescent bus's frames. Forgeries and replay copies
+    # carry the adversary's origin; a tamper flips bits and adds no frames.
+    frames = data_frames = honest_frames = logical_messages = 0
+    for f in net.sent:
+        if f.kind is None:
+            data_frames += 1
+        else:
+            frames += 1
+            if f.origin != ADVERSARY_ID:
+                honest_frames += 1
+                logical_messages += f.header[1] == 0    # a message's first frame
     expected = expected_messages(Scheme.OURS, cfg.n_ecus)
-    # A tamper flips bits and adds no frames; forgeries and replay copies
-    # are sent under the adversary's origin.
-    honest_frames = sum(f.kind is not None and f.origin != ADVERSARY_ID
-                        for f in net.sent)
     checks = {
         "message_count": logical_messages == expected,
         "frame_accounting": honest_frames == _honest_frame_count(group, cfg.n_ecus),
@@ -555,7 +543,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     report = SimReport(
         group=cfg.group, n_ecus=cfg.n_ecus, rng_seed=cfg.rng_seed,
         latency_profile=cfg.latency_profile, logical_messages=logical_messages,
-        frames=net.frames, data_frames=net.data_frames,
+        frames=frames, data_frames=data_frames,
         refresh_events=max((e.session.round_index for e in ecus
                             if e.session is not None), default=0),
         phase_times=phase_times, rejections=net.rejections, converged=converged,

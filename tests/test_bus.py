@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import canvault.bus
 from canvault import kem
+from canvault.adversary import (ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
+                                ReplayAction, TamperAction)
 from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
-                          ReplayAction, TamperAction, frame_time_us, fragment,
-                          reassemble)
+                          frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
 from canvault.harness import ScenarioConfig, run_scenario
@@ -30,6 +31,11 @@ def toy():
 
 def make_msg(body: bytes) -> WireMessage:
     return WireMessage(MsgKind.SEED_BROADCAST, SECU_ID, None, body)
+
+
+def forge(net: Network, msg: WireMessage, at_us: int) -> None:
+    """Send a message as the adversary does a forgery."""
+    net.send(ADVERSARY_ID, ADVERSARY_CAN_ID, msg, at_us)
 
 
 class TestFragmentation:
@@ -136,7 +142,7 @@ class TestArbitration:
         net = self.build_two_node_net(toy, bitrate_bps=125_000)
         net.schedule_data_frame(0)
         for body, at_us in ((b"late", 1000), (b"early", 500)):
-            net.forge(make_msg(body), at_us)
+            forge(net, make_msg(body), at_us)
         net.run_to_quiescence()
         assert [f.payload[4:] for f in net.sent[1:]] == [b"early", b"late"]
         assert net.sent[1].timestamp_us == 1536
@@ -246,7 +252,7 @@ class TestAcceptanceFilter:
         net = stub_net(*nodes)
         seed = WireMessage(MsgKind.SEED_BROADCAST, 0, 1, b"s" * 48)
         net.schedule_protocol_send(0, [seed])
-        net.forge(seed, at_us=10_000)
+        forge(net, seed, at_us=10_000)
         net.run_to_quiescence()
         assert [len(n.handled) for n in nodes] == [1, 2, 2]
 
@@ -255,8 +261,8 @@ class TestAcceptanceFilter:
         units = [StubNode(i, ((MsgKind.PAIRWISE_CIPHER, i),)) for i in range(2)]
         net = stub_net(secu_like, *units)
         for receiver in (SECU_ID, 7, None):
-            net.forge(WireMessage(MsgKind.PAIRWISE_CIPHER, SECU_ID, receiver,
-                                  b"c" * 2), at_us=0)
+            forge(net, WireMessage(MsgKind.PAIRWISE_CIPHER, SECU_ID, receiver,
+                                   b"c" * 2), at_us=0)
         end = net.run_to_quiescence()
         assert [n.handled for n in (secu_like, *units)] == [[], [], []]
         assert end == quiet_end(net)        # nobody was charged
@@ -284,7 +290,7 @@ class TestAcceptanceFilter:
     def test_listeners_added_out_of_id_order_are_served_in_id_order(self):
         log = []
         net = stub_net(*(StubNode(i, (SEEDS,), log) for i in (2, 0, 1)))
-        net.forge(WireMessage(MsgKind.SEED_BROADCAST, 0, None, b"s"), at_us=0)
+        forge(net, WireMessage(MsgKind.SEED_BROADCAST, 0, None, b"s"), at_us=0)
         net.run_to_quiescence()
         assert log == [0, 1, 2]
 
@@ -294,7 +300,7 @@ class TestAcceptanceFilter:
         exact, wild = (MsgKind.GROUP_SECRET, 0), (MsgKind.GROUP_SECRET, ANY_RECEIVER)
         net = stub_net(StubNode(2, (exact, wild), log), StubNode(1, (wild,), log),
                        StubNode(0, (exact,), log))
-        net.forge(WireMessage(MsgKind.GROUP_SECRET, SECU_ID, 0, b"g"), at_us=0)
+        forge(net, WireMessage(MsgKind.GROUP_SECRET, SECU_ID, 0, b"g"), at_us=0)
         net.run_to_quiescence()
         assert log == [0, 1, 2]
 
@@ -308,7 +314,7 @@ class TestTamper:
 
         def wire(*actions):
             listener = StubNode(1, (SEEDS,))
-            net = Network(BusConfig(), LATENCY_PRESETS["stm32"], actions)
+            net = Network(BusConfig(), LATENCY_PRESETS["stm32"], Adversary(actions))
             net.add_ecu(StubNode(0, ()))
             net.add_ecu(listener)
             net.schedule_protocol_send(
@@ -341,6 +347,32 @@ def test_bus_imports_from_the_protocol_only_its_wire_format():
         else:
             assert not any(name.endswith("protocol") for name in names)
     assert imported <= {"MsgKind", "WireMessage", "MESSAGE_OPS", "ANY_RECEIVER"}
+
+
+def test_bus_leaves_the_adversary_and_the_frame_counts_to_their_owners():
+    # canvault.adversary owns the action records, the per-kind occurrence
+    # counts and the forgeries, and the harness counts the sent frames. The
+    # bus calls the adversary once, in Network.send.
+    source = inspect.getsource(canvault.bus)
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not {name for name in defined if name.endswith("Action")}
+    assert not defined & {"forge", "frames", "data_frames", "logical_messages"}
+    # A counter per kind would enumerate the kinds; the bus only annotates
+    # with them.
+    enumerated = [node.iter for node in ast.walk(tree)
+                  if isinstance(node, (ast.For, ast.comprehension))]
+    enumerated += [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   for arg in node.args]
+    assert not any(isinstance(node, ast.Name) and node.id == "MsgKind"
+                   for node in enumerated)
+    assert "occurrence" not in source
+    hooks = [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "adversary"]
+    assert hooks == ["on_send"]
 
 
 class TestTimingModel:

@@ -45,6 +45,24 @@ GOLDEN = {
     "forge_seed_unicast": (
         _adversary(action="forge", target="seed_broadcast", receiver=1),
         "cb625388c558e3d45b069234ca6a7e807b5e33cf9e14504020e4a2a2b97860a7"),
+    # The paper's size on the 2048-bit group under tampers, replays and
+    # forgeries: forged bodies are drawn as 2048-bit elements and strings.
+    "hostile_schnorr256_n35": (
+        {"group": "schnorr256", "n_ecus": 35, "phase4_sender": 34,
+         "adversary": [
+             {"action": "tamper", "target": "pairwise_cipher",
+              "occurrence": 8, "bit": 12},
+             {"action": "tamper", "target": "pairwise_cipher",
+              "occurrence": 9, "bit": 2060},
+             {"action": "tamper", "target": "group_secret",
+              "occurrence": 6, "bit": 12},
+             {"action": "replay", "target": "pairwise_cipher", "occurrence": 12},
+             {"action": "replay", "target": "group_secret", "occurrence": 14},
+             {"action": "replay", "target": "seed_broadcast"},
+             *({"action": "forge", "target": "pairwise_cipher", "receiver": i}
+               for i in range(20, 24)),
+             {"action": "forge", "target": "group_secret", "receiver": 24}]},
+        "e8726ec2cb0934c75e73228f521ee3efa5a0a7ecb916e7a02f83b87d9a6cd878"),
 }
 
 

@@ -521,29 +521,45 @@ class TestCounterRefresh:
 
 class TestPhaseMonotonicityAndRobustness:
     def test_random_message_soup_never_moves_phase_backwards(self, toy):
+        # Phase 3 runs and unit 0 keys and sends a seed; unit 1's group
+        # secret and the seed reach the other nodes only as honest copies
+        # mixed into the noise after its first 100 messages. So the SECU
+        # refuses noise while it waits for the seed, and a unit refuses a
+        # copy it has already accepted.
         secu, ecus, rng = build_nodes(toy, 2)
         soup_rng = Random(7)
         kinds = list(MsgKind)
         deliver_all(secu.run_phase2(rng), ecus)
         history = [secu.phase]
-        reasons = set()
-        for _ in range(300):
-            kind = soup_rng.choice(kinds)
-            length = body_length(toy, kind)
-            body = soup_rng.randbytes(soup_rng.choice(
-                [0, 1, 2, 48, 64, length - 1, length, length + 1]))
-            msg = WireMessage(kind, soup_rng.choice([SECU_ID, 0, 1]),
-                              soup_rng.choice([None, 0, 1]), body)
+        honest = secu.run_phase3(rng)
+        history.append(secu.phase)
+        ecus[0].handle(honest[0])
+        honest.append(ecus[0].run_phase4(rng))
+        reasons = {SECU_ID: set(), 0: set(), 1: set()}
+        for i in range(300):
+            if i >= 100 and soup_rng.random() < 0.1:
+                msg = soup_rng.choice(honest)
+            else:
+                kind = soup_rng.choice(kinds)
+                length = body_length(toy, kind)
+                body = soup_rng.randbytes(soup_rng.choice(
+                    [0, 1, 2, 48, 64, length - 1, length, length + 1]))
+                msg = WireMessage(kind, soup_rng.choice([SECU_ID, 0, 1]),
+                                  soup_rng.choice([None, 0, 1]), body)
             for node in [secu, *ecus]:
                 before = _state(node)
                 out = node.handle(msg)     # must not raise
                 if out.rejected:
-                    reasons.add(out.reason)
+                    reasons[node.node_id].add(out.reason)
                     assert _state(node) == before
             history.append(secu.phase)
         assert all(b >= a for a, b in zip(history, history[1:]))
-        assert {"decode", "mac", "state"} <= reasons
-        assert reasons <= {"decode", "consistency", "mac", "replay", "state"}
+        assert history[0] is Phase.PAIRWISE and history[-1] is Phase.DONE
+        assert "mac" in reasons[SECU_ID]
+        assert "replay" in reasons[0] & reasons[1]
+        seen = set().union(*reasons.values())
+        assert {"decode", "mac", "state"} <= seen
+        assert seen <= {"decode", "consistency", "mac", "replay", "state"}
 
     def test_replay_cache_is_bounded(self, toy):
         secu, ecus, rng = build_nodes(toy, 1, cache=8)
