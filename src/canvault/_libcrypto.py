@@ -39,6 +39,7 @@ for _name, _restype, _argtypes in (
         ("BN_bn2binpad", _int, [_ptr, _ptr, _int]),
         ("BN_copy", _ptr, [_ptr, _ptr]),
         ("BN_MONT_CTX_new", _ptr, []),
+        ("BN_MONT_CTX_free", None, [_ptr]),
         ("BN_MONT_CTX_set", _int, [_ptr, _ptr, _ptr]),
         ("BN_to_montgomery", _int, [_ptr] * 4),
         ("BN_from_montgomery", _int, [_ptr] * 4),
@@ -77,6 +78,8 @@ def _modulus(m: int) -> tuple[int, int, int]:
             ok = ctx and mont and mod and lib.BN_MONT_CTX_set(mont, mod, ctx)
             lib.BN_CTX_free(ctx)
             if not ok:
+                lib.BN_MONT_CTX_free(mont)
+                lib.BN_free(mod)
                 raise MemoryError("libcrypto BN_MONT_CTX_set failed")
             _moduli[m] = (n, mod, mont)
     return _moduli[m]

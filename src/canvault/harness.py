@@ -312,10 +312,10 @@ def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> No
 
 
 def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
-    """Read ``n`` keypairs, each checked by re-deriving its public halves:
-    ``x`` and ``y`` must lie in [1, order), and ``u`` and ``v`` must be the
-    keyfile text of ``g^x`` and ``g^y``, spelled as :func:`write_keyfile`
-    spells them."""
+    """Read ``n`` keypairs, each checked by re-deriving its public halves
+    with :func:`kem.keypair`: ``x`` and ``y`` must lie in [1, order), and
+    ``u`` and ``v`` must be the keyfile text of ``g^x`` and ``g^y``, spelled
+    as :func:`write_keyfile` spells them."""
     data = _read_json_object("keyfile", path)
     if data.get("group") != group.name:
         raise ConfigError(
@@ -336,12 +336,11 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
         if not (0 < x < group.order and 0 < y < group.order):
             raise ConfigError(
                 f"keyfile entry {ecu_id} has exponents outside [1, order)")
-        pub_key = group.exp(group.generator, x)
-        pub_bind = group.exp(group.generator, y)
-        if group.element_hex(pub_key) != u or group.element_hex(pub_bind) != v:
+        kp = kem.keypair(group, ecu_id, x, y)
+        if group.element_hex(kp.pub_key) != u or group.element_hex(kp.pub_bind) != v:
             raise ConfigError(
                 f"keyfile entry {ecu_id} has inconsistent public values")
-        keypairs.append(kem.EcuKeyPair(ecu_id, x, y, pub_key, pub_bind))
+        keypairs.append(kp)
     # Unit ids become node and CAN ids: they must be exactly 0..n-1.
     ids = [kp.ecu_id for kp in keypairs]
     if any(type(i) is not int for i in ids) or sorted(ids) != list(range(n)):

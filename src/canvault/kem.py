@@ -60,17 +60,18 @@ class EcuKeyPair(NamedTuple):
         return (self.pub_key, self.pub_bind)
 
 
+def keypair(group: Group, ecu_id: int, x: int, y: int) -> EcuKeyPair:
+    """The keypair of secret exponents ``(x, y)``: the one derivation of a
+    unit's public halves ``(g^x, g^y)``, for inline keygen and keyfiles alike."""
+    return EcuKeyPair(ecu_id, x, y,
+                      group.exp(group.generator, x), group.exp(group.generator, y))
+
+
 def keygen(group: Group, ecu_id: int, rng: Random) -> EcuKeyPair:
     """Draw a fresh keypair for one unit."""
     x = group.random_scalar(rng)
     y = group.random_scalar(rng)
-    return EcuKeyPair(
-        ecu_id=ecu_id,
-        key_exp=x,
-        bind_exp=y,
-        pub_key=group.exp(group.generator, x),
-        pub_bind=group.exp(group.generator, y),
-    )
+    return keypair(group, ecu_id, x, y)
 
 
 def encapsulate(

@@ -66,6 +66,12 @@ class TestFragmentation:
         msg = make_msg(body)
         assert reassemble(fragment(msg, 0x20, 7)) == msg
 
+    def test_body_past_255_frames_refused(self):
+        # The header's fragment total is one byte.
+        assert len(fragment(make_msg(bytes(255 * 60)), 0x10, 1)) == 255
+        with pytest.raises(ValueError, match="needs too many fragments"):
+            fragment(make_msg(bytes(255 * 60 + 1)), 0x10, 1)
+
     def test_reassemble_rejects_incomplete_or_mixed_sets(self):
         frames = fragment(make_msg(b"x" * 200), 0x10, 1)
         with pytest.raises(ValueError):
@@ -266,6 +272,10 @@ class TestAcceptanceFilter:
         end = net.run_to_quiescence()
         assert [n.handled for n in (secu_like, *units)] == [[], [], []]
         assert end == quiet_end(net)        # nobody was charged
+
+    def test_two_nodes_with_one_id_refused(self):
+        with pytest.raises(ValueError, match="duplicate node id 0"):
+            stub_net(StubNode(0, (SEEDS,)), StubNode(0, (DATA_FRAMES,)))
 
     def test_only_data_frame_listeners_count_data_frames(self):
         listener = StubNode(0, (DATA_FRAMES,))

@@ -420,6 +420,11 @@ class TestPowmodBackend:
         m = get_group(name).modulus
         assert powmod(base, e, m) == pow(base, e, m)
 
+    @pytest.mark.parametrize("m", [1, 2, 22, BIG_MODULUS + 1])
+    def test_refuses_an_even_or_unit_modulus(self, powmod, m):
+        with pytest.raises(ValueError, match="needs an odd modulus > 1"):
+            powmod(3, 5, m)
+
     @pytest.mark.parametrize("name", GROUP_NAMES)
     def test_exp2_edge_cases_match_builtin_pow(self, powmod2, name):
         grp = get_group(name)
@@ -594,3 +599,33 @@ def test_tripwire_sees_libcrypto_calls(libcrypto_tripwire):
     with pytest.raises(AssertionError, match="libcrypto"):
         every_kind_of_power()
     assert libcrypto_tripwire
+
+
+def test_failed_montgomery_context_frees_what_it_made(libcrypto, monkeypatch):
+    # A modulus that fails BN_MONT_CTX_set is not kept, and its context and
+    # BIGNUM are freed before MemoryError is raised.
+    real, freed = libcrypto.lib, []
+
+    class FailingSet:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def BN_MONT_CTX_set(self, mont, mod, ctx):
+            return 0
+
+        def BN_MONT_CTX_free(self, mont):
+            freed.append("BN_MONT_CTX_free")
+            real.BN_MONT_CTX_free(mont)
+
+        def BN_free(self, num):
+            freed.append("BN_free")
+            real.BN_free(num)
+
+    m = (1 << 127) + 0x2b
+    assert m not in libcrypto._moduli
+    before = dict(libcrypto._moduli)
+    monkeypatch.setattr(libcrypto, "lib", FailingSet())
+    with pytest.raises(MemoryError, match="BN_MONT_CTX_set failed"):
+        libcrypto.mod_exp(3, 5, m)
+    assert libcrypto._moduli == before
+    assert freed == ["BN_MONT_CTX_free", "BN_free"]

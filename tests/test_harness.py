@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvault import harness, kem, protocol
-from canvault.bus import BusConfig
+from canvault.bus import LATENCY_PRESETS, BusConfig
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
 from canvault.group import get_group
@@ -94,6 +94,15 @@ class TestAffineFit:
     def test_noisy_line_reports_residual(self):
         _, _, res = affine_fit([1, 2, 3, 4], [10, 21, 29, 41])
         assert res > 0.01
+
+
+def _profile_text(**changes) -> str:
+    """A custom profile's file text: the stm32 preset, with each node class
+    in ``changes`` replaced by its value, or a dict's ops updated in it."""
+    table = {cls: dict(ops) for cls, ops in LATENCY_PRESETS["stm32"].items()}
+    for cls, value in changes.items():
+        table[cls] = {**table[cls], **value} if isinstance(value, dict) else value
+    return json.dumps(table)
 
 
 class TestConfigValidation:
@@ -194,6 +203,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**self.base(adversary=[entry]))
 
+    @pytest.mark.parametrize("raw", [[{"group": "toy23", "n_ecus": 2}], "toy23", None])
+    def test_from_dict_refuses_a_non_object(self, raw):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("entry", ["tamper", ["tamper", "group_secret"], None])
+    def test_adversary_entries_must_be_objects(self, entry):
+        with pytest.raises(ConfigError, match="adversary entries must be objects"):
+            ScenarioConfig(**self.base(adversary=[entry]))
+
     def test_type_hints_read_once_per_class(self):
         # A cache miss is one get_type_hints call: one per class.
         harness._type_hints.cache_clear()
@@ -239,6 +258,20 @@ class TestConfigValidation:
         path = tmp_path / "prof.json"
         path.write_text(json.dumps([{"eccdh": 1}]))
         with pytest.raises(ConfigError, match="JSON object"):
+            load_latency_profile(f"custom:{path}")
+
+    # A full stm32 table with one value replaced, or text that is no JSON.
+    @pytest.mark.parametrize("text, message", [
+        ('{"secu": {"eccdh": 1}', "is not valid JSON"),
+        (_profile_text(secu=[1]), "map 'secu' to op latencies"),
+        (_profile_text(ecu=1), "map 'ecu' to op latencies"),
+        (_profile_text(secu={"eccdh": True}), r"latency secu\.eccdh must be >= 0 us"),
+        (_profile_text(ecu={"hmac": -1}), r"latency ecu\.hmac must be >= 0 us"),
+    ], ids=["not_json", "secu_list", "ecu_int", "bool_latency", "negative_latency"])
+    def test_custom_profile_refused(self, tmp_path, text, message):
+        path = tmp_path / "prof.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
             load_latency_profile(f"custom:{path}")
 
 
@@ -426,21 +459,29 @@ class TestKeyfiles:
 
     # toy23: modulus 23, order 11. A non-member u (5 is no square mod 23),
     # an x congruent to the right one but outside [1, order), x = 0 with its
-    # consistent u = g^0, a top-level list, and keypairs that are no list.
-    @pytest.mark.parametrize("malform", [
-        lambda d: _with_first_entry(d, u="5"),
-        lambda d: _with_first_entry(
+    # consistent u = g^0, a top-level list, keypairs that are no list, an
+    # entry without x, and an x that is no hex.
+    @pytest.mark.parametrize("malform, message", [
+        (lambda d: _with_first_entry(d, u="5"), "inconsistent public values"),
+        (lambda d: _with_first_entry(
             d, x=f"{int(d['keypairs'][0]['x'], 16) - 11:x}"),
-        lambda d: _with_first_entry(d, x="0", u="1"),
-        lambda d: [d],
-        lambda d: {**d, "keypairs": {"a": 1}},
-    ], ids=["non_member_u", "x_minus_order", "zero_x", "list", "keypairs_dict"])
-    def test_malformed_keyfile_refused(self, tmp_path, malform):
+         r"exponents outside \[1, order\)"),
+        (lambda d: _with_first_entry(d, x="0", u="1"),
+         r"exponents outside \[1, order\)"),
+        (lambda d: [d], "must hold a JSON object"),
+        (lambda d: {**d, "keypairs": {"a": 1}}, "keypairs must be a list"),
+        (lambda d: {**d, "keypairs": [{k: v for k, v in d["keypairs"][0].items()
+                                       if k != "x"}]},
+         "malformed keyfile entry: 'x'"),
+        (lambda d: _with_first_entry(d, x="0xg"), "malformed keyfile entry"),
+    ], ids=["non_member_u", "x_minus_order", "zero_x", "list", "keypairs_dict",
+            "missing_x", "non_hex_x"])
+    def test_malformed_keyfile_refused(self, tmp_path, malform, message):
         group = get_group("toy23")
         path = tmp_path / "params.json"
         write_keyfile(str(path), group, [kem.keygen(group, 0, Random(0))])
         path.write_text(json.dumps(malform(json.loads(path.read_text()))))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             run_scenario(ScenarioConfig(group="toy23", n_ecus=1,
                                         keyfile=str(path)))
 

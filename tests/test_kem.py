@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from canvault import kem, primitives
+from canvault import harness, kem, primitives
 from canvault.errors import ConsistencyError, DecodeError
 from canvault.group import Group, GroupElement, get_group
 from support import decoded_as_members, elements, mul
@@ -55,6 +55,10 @@ class TestForcedToyTrace:
         assert kp.pub_key == GroupElement(8)      # 2^3 mod 23
         assert kp.pub_bind == GroupElement(9)     # 2^5 mod 23
         assert (kp.key_exp, kp.bind_exp) == (3, 5)
+
+    def test_keygen_draws_x_then_y_into_keypair(self, toy):
+        assert self.keypair(toy) == kem.keypair(toy, 0, 3, 5) \
+            == kem.EcuKeyPair(0, 3, 5, GroupElement(8), GroupElement(9))
 
     def test_encapsulation_values(self, toy):
         kp = self.keypair(toy)
@@ -204,6 +208,18 @@ def test_backend_calls_per_unit_on_schnorr256(counted):
     body = kem.encode_ciphertext(grp, ct)
     assert kem.decapsulate(grp, kp, kem.decode_ciphertext(grp, body)) == key
     assert used() == ["exp", "exp2", "exp2", "exp2"]
+
+
+def test_backend_calls_per_keyfile_entry(counted, tmp_path):
+    """A keyfile entry is checked through kem.keypair, as keygen builds one:
+    two generator powers and no backend call."""
+    grp, used = counted
+    keypairs = harness.generate_keypairs(grp, 2, 0)
+    path = str(tmp_path / "params.json")
+    harness.write_keyfile(path, grp, keypairs)
+    used()
+    assert harness.load_keyfile(path, grp, 2) == keypairs
+    assert used() == ["fixed", "fixed"] * 2
 
 
 @pytest.mark.parametrize("binding, error", [

@@ -176,6 +176,11 @@ class TestKeySplitting:
         assert enc != mac
         assert enc != mac[:16]
 
+    def test_expand_refuses_more_than_255_blocks(self):
+        assert len(prim.hkdf_expand(b"k" * 32, b"", 255 * 32)) == 255 * 32
+        with pytest.raises(ValueError, match="HKDF output too long"):
+            prim.hkdf_expand(b"k" * 32, b"", 255 * 32 + 1)
+
     def test_split_rejects_empty_ikm(self):
         with pytest.raises(ValueError):
             prim.hkdf_split(b"", b"phase3")
@@ -260,6 +265,10 @@ class TestSymmetricCipher:
             prim.sym_encrypt(b"x", b"k" * 32, b"n" * 16)   # MAC key in enc slot
         with pytest.raises(ValueError):
             prim.sym_encrypt(b"x", b"k" * 16, b"n" * 8)
+        wrapped = prim.sym_encrypt(b"x", b"k" * 16, b"n" * 16)
+        for key in (b"k" * 15, b"k" * 32):
+            with pytest.raises(ValueError, match="encryption key must be 16 bytes"):
+                prim.sym_decrypt(wrapped, key)
 
 
 class TestCtrAgainstOracle:

@@ -1,13 +1,17 @@
 """State-machine tests: phases run by hand-delivering messages, no bus."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+import canvault
 import canvault.protocol
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError, StateError
@@ -436,9 +440,17 @@ class TestRefusalOrder:
         assert calls == {"hkdf_split": expected, "hmac_verify": expected}
 
 
-def _readers(source, names):
+def _name(node):
+    """The name a bare-name or attribute read reads, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _readers(source, names, calls=False):
     """The function around each read of ``names`` in ``source`` (None at
-    module level), read as a bare name or as an attribute."""
+    module level), read as a bare name or as an attribute; with ``calls``,
+    only the reads that are called."""
     found = {name: [] for name in names}
 
     def visit(node, func):
@@ -446,10 +458,10 @@ def _readers(source, names):
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                found.get(child.id, []).append(func)
-            elif isinstance(child, ast.Attribute):
-                found.get(child.attr, []).append(func)
+            if not calls:
+                found.get(_name(child), []).append(func)
+            elif isinstance(child, ast.Call):
+                found.get(_name(child.func), []).append(func)
             visit(child, func)
 
     visit(ast.parse(source), None)
@@ -464,6 +476,17 @@ def test_each_receive_check_and_key_split_lives_in_one_function():
                              "_SPLIT_SESSION_INFO")) == {
         "hmac_verify": ["_open"], "_SPLIT_GROUP_INFO": ["_group_keys"],
         "_SPLIT_SESSION_INFO": ["_session_keys"]}
+
+
+def test_a_keypair_is_built_only_by_kem_keypair():
+    # Inline keygen and the keyfile reader derive a unit's public halves
+    # through the one function that calls the record's constructor.
+    builders = []
+    for info in pkgutil.iter_modules(canvault.__path__, "canvault."):
+        source = inspect.getsource(importlib.import_module(info.name))
+        builders += [(info.name, func)
+                     for func in _readers(source, ("EcuKeyPair",), True)["EcuKeyPair"]]
+    assert builders == [("canvault.kem", "keypair")]
 
 
 class TestCounterRefresh:
@@ -580,6 +603,95 @@ class TestPhaseMonotonicityAndRobustness:
         cache.add(b"c")
         assert len(cache) == 2 and b"a" not in cache
         assert b"b" in cache and b"c" in cache
+
+
+class OneUnitUnderReplay(RuleBasedStateMachine):
+    """One toy23 unit with the default replay cache, fed its honest group
+    secret and a peer's seed, replays and bit flips of whatever it has been
+    sent, random bodies, and data frames. A refusal changes nothing, and the
+    session's round never goes back."""
+
+    def __init__(self):
+        super().__init__()
+        toy = get_group("toy23")
+        rng = Random(0)
+        keypairs = [kem.keygen(toy, i, rng) for i in range(2)]
+        secu = Secu(toy, [(kp.ecu_id, kp.public) for kp in keypairs])
+        self.unit, peer = (Ecu(toy, kp, ctr_max=2) for kp in keypairs)
+        pairwise = secu.run_phase2(rng)
+        group_msgs = secu.run_phase3(rng)
+        for msg in (pairwise[1], group_msgs[1]):
+            assert peer.handle(msg).accepted
+        self.honest = {"group secret": group_msgs[0], "seed": peer.run_phase4(rng)}
+        self.sent = [pairwise[0]]
+        assert self.unit.handle(pairwise[0]).accepted
+        self.toy, self.round = toy, -1
+
+    def send(self, msg):
+        before = _state(self.unit)
+        if self.unit.handle(msg).rejected:
+            assert _state(self.unit) == before
+        self.sent.append(msg)
+
+    @rule(name=st.sampled_from(["group secret", "seed"]))
+    def deliver(self, name):
+        self.send(self.honest[name])
+
+    @rule(data=st.data())
+    def replay(self, data):
+        self.send(data.draw(st.sampled_from(self.sent)))
+
+    @rule(data=st.data())
+    def flip_a_bit(self, data):
+        msg = data.draw(st.sampled_from(self.sent))
+        bit = data.draw(st.integers(0, 8 * len(msg.body) - 1))
+        body = bytearray(msg.body)
+        body[bit // 8] ^= 1 << bit % 8
+        self.send(msg._replace(body=bytes(body)))
+
+    @rule(kind=st.sampled_from(MsgKind), extra=st.sampled_from([-1, 0, 1]),
+          data=st.data())
+    def random_body(self, kind, extra, data):
+        n = body_length(self.toy, kind) + extra
+        body = data.draw(st.binary(min_size=n, max_size=n))
+        self.send(WireMessage(kind, SECU_ID, self.unit.ecu_id, body))
+
+    @rule()
+    def tick(self):
+        self.unit.on_data_frame()
+
+    @invariant()
+    def round_never_goes_back(self):
+        session = self.unit.session
+        now = -1 if session is None else session.round_index
+        assert now >= self.round
+        self.round = now
+
+
+TestOneUnitUnderReplay = OneUnitUnderReplay.TestCase
+TestOneUnitUnderReplay.settings = settings(
+    derandomize=True, max_examples=100, stateful_step_count=40, deadline=None)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: a one-tag replay cache forgets the seed's tag once a "
+    "replayed group secret is accepted, so the replayed seed rolls unit 0 "
+    "back to round 0"))
+def test_replays_past_a_one_tag_cache_do_not_roll_a_unit_back(toy):
+    secu, ecus, rng = build_nodes(toy, 2, ctr_max=2, cache=1)
+    deliver_all(secu.run_phase2(rng), ecus)
+    group_msgs = secu.run_phase3(rng)
+    deliver_all(group_msgs, ecus)
+    seed = ecus[1].run_phase4(rng)
+    ecus[0].handle(seed)
+    for _ in range(6):      # three ticks a round at ctr_max 2
+        for ecu in ecus:
+            ecu.tick_counter()
+    if [ecu.session.round_index for ecu in ecus] != [2, 2]:
+        pytest.fail("both units should reach round 2 before the replays")
+    ecus[0].handle(group_msgs[0])
+    ecus[0].handle(seed)
+    assert [ecu.session.round_index for ecu in ecus] == [2, 2]
 
 
 class TestBodyLengths:
