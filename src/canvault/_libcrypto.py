@@ -142,25 +142,25 @@ class _Table:
     """
 
     def __init__(self, g: int, m: int, bits: int):
-        self.n, _, self.mont = _modulus(m)
+        self.m, mont = m, _modulus(m)[2]
         mul, half = lib.BN_mod_mul_montgomery, 1 << _WINDOW - 1
         ctx, base = lib.BN_CTX_new(), _bn(g % m)
         made, rows = [base], []
         try:
-            ok = ctx and base and lib.BN_to_montgomery(base, base, self.mont, ctx)
+            ok = ctx and base and lib.BN_to_montgomery(base, base, mont, ctx)
             for i in range(0, bits, _WINDOW):
                 row = [None, base]
                 for _ in range(2, 1 << min(_WINDOW, bits - i)):
                     entry = lib.BN_new()
                     made.append(entry)
-                    ok = ok and entry and mul(entry, row[-1], base, self.mont, ctx)
+                    ok = ok and entry and mul(entry, row[-1], base, mont, ctx)
                     row.append(entry)
                 rows.append(tuple(row))
                 if i + _WINDOW < bits:
                     # The next row's base, g^(2^(_WINDOW * (i + 1))).
                     base = lib.BN_new()
                     made.append(base)
-                    ok = ok and base and mul(base, row[half], row[half], self.mont, ctx)
+                    ok = ok and base and mul(base, row[half], row[half], mont, ctx)
             if not ok:
                 raise MemoryError("libcrypto fixed-base table failed")
         except BaseException:
@@ -176,20 +176,14 @@ class _Table:
                    if (d := e >> _WINDOW * i & _MASK)]
         if not entries:
             return 1
-        mul, mont = lib.BN_mod_mul_montgomery, self.mont
-        out = ctypes.create_string_buffer(self.n)
-        ctx, acc = lib.BN_CTX_new(), lib.BN_new()
-        try:
-            ok = ctx and acc and lib.BN_copy(acc, entries[0])
+
+        def fixed_base_product(acc, _mod, ctx, mont):
+            ok = lib.BN_copy(acc, entries[0])
             for entry in entries[1:]:
-                ok = ok and mul(acc, acc, entry, mont, ctx)
-            if not (ok and lib.BN_from_montgomery(acc, acc, mont, ctx)
-                    and lib.BN_bn2binpad(acc, out, self.n) == self.n):
-                raise MemoryError("libcrypto fixed-base power failed")
-            return int.from_bytes(out.raw, "big")
-        finally:
-            lib.BN_free(acc)
-            lib.BN_CTX_free(ctx)
+                ok = ok and lib.BN_mod_mul_montgomery(acc, acc, entry, mont, ctx)
+            return ok and lib.BN_from_montgomery(acc, acc, mont, ctx)
+
+        return _call(self.m, fixed_base_product, ())
 
 
 def fixed_base_exp(g: int, e: int, m: int, bits: int) -> int:

@@ -16,7 +16,8 @@ Models the pieces of the bus that matter for protocol accounting:
   hardware class,
 * one send path, :meth:`Network.send`, that passes every message to the
   run's :class:`~canvault.adversary.Adversary` (which may tamper it or arm
-  replays) and then sends each armed replay copy after the original.
+  replays), and one record per fragment set: the set is delivered on its
+  last fragment, and its armed replay copies are cut from it there.
 
 The bus knows no protocol rule beyond each kind's send cost: any node that
 declares its streams and answers :class:`Machine`'s calls can join. Everything
@@ -207,8 +208,8 @@ class Network:
         self._transmitting: Optional[CanFdFrame] = None
         self._msg_seq = 0
         self.adversary = Adversary() if adversary is None else adversary
-        self._captures: dict[tuple, list] = {}    # (can_id, seq) -> [(frames, delay)]
-        self._partial: dict[tuple, dict] = {}     # (can_id, seq) -> {index: frame}
+        # (can_id, seq) -> (the set's frames received so far, its replay delays)
+        self._sets: dict[tuple, tuple] = {}
 
     # -- topology ---------------------------------------------------------
 
@@ -277,13 +278,8 @@ class Network:
         original's last frame has left the bus."""
         self._msg_seq += 1
         msg, delays = self.adversary.on_send(msg)
-        frames = fragment(msg, can_id, self._msg_seq, origin)
-        for delay in delays:
-            copies = [CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
-                                 f.receiver, ADVERSARY_ID) for f in frames]
-            self._captures.setdefault((can_id, self._msg_seq), []) \
-                .append((copies, delay))
-        for f in frames:
+        self._sets[(can_id, self._msg_seq)] = ([], delays)
+        for f in fragment(msg, can_id, self._msg_seq, origin):
             self._schedule(f, t)
 
     # -- event loop -------------------------------------------------------
@@ -313,26 +309,27 @@ class Network:
                 if ops:
                     self._work(node, ops)
             return
-        # Reassemble each set once and hand it to every node but its origin
-        # whose acceptance filter passes it.
         seq, index, total = frame.header
         key = (frame.can_id, seq)
-        parts = self._partial.setdefault(key, {})
-        parts[index] = frame
-        if len(parts) == total:
-            del self._partial[key]
-            # Each sequence number has one sender and one CAN id, replay
-            # copies go out only once the original set is complete, and
-            # frames under one CAN id leave arbitration in readiness order,
-            # so a complete set always reassembles.
-            msg = reassemble(list(parts.values()))
-            for node in self._listening(msg.kind, msg.receiver):
-                if node.node_id != frame.origin:
-                    self._dispatch(node, msg)
-        if index == total - 1:
-            for copies, delay in self._captures.pop(key, ()):
-                for f in copies:
-                    self._schedule(f, self.now + delay)
+        # A replay copy's set has no record before its first frame; it arms none.
+        frames, delays = self._sets.setdefault(key, ([], ()))
+        frames.append(frame)
+        if index != total - 1:
+            return
+        # Each sequence number has one sender and one CAN id, frames under one
+        # CAN id leave arbitration in readiness order, and copies go out only
+        # once the original set is delivered, so a set arrives complete and
+        # in index order (reassemble refuses one that does not). It goes to
+        # every node but its origin whose acceptance filter passes it.
+        del self._sets[key]
+        msg = reassemble(frames)
+        for node in self._listening(msg.kind, msg.receiver):
+            if node.node_id != frame.origin:
+                self._dispatch(node, msg)
+        for delay in delays:
+            for f in frames:
+                self._schedule(CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
+                                          f.receiver, ADVERSARY_ID), self.now + delay)
 
     def _dispatch(self, node: _Node, msg: WireMessage) -> None:
         # State commits in delivery order; busy_until only accounts for the

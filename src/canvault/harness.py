@@ -311,11 +311,24 @@ def write_keyfile(path: str, group: Group, keypairs: list[kem.EcuKeyPair]) -> No
         fh.write("\n")
 
 
+def _keyfile_exponent(entry: dict, field: str) -> int:
+    """``entry[field]``, which must be spelled as :func:`write_keyfile`
+    spells an exponent, ``f"{value:x}"``: lower-case hex with no prefix,
+    space, separator or leading zero."""
+    text = entry[field]
+    value = int(text, 16)
+    if f"{value:x}" != text:
+        raise ValueError(f"{field} {text!r} is not lower-case hex without "
+                         "prefix or leading zeros")
+    return value
+
+
 def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
-    """Read ``n`` keypairs, each checked by re-deriving its public halves
-    with :func:`kem.keypair`: ``x`` and ``y`` must lie in [1, order), and
-    ``u`` and ``v`` must be the keyfile text of ``g^x`` and ``g^y``, spelled
-    as :func:`write_keyfile` spells them."""
+    """Read ``n`` keypairs. Every entry's fields are checked before any power
+    is taken: ``x`` and ``y`` must be spelled as :func:`write_keyfile` spells
+    them and lie in [1, order), and the unit ids must be 0..n-1. Then each
+    keypair is re-derived with :func:`kem.keypair`, and ``u`` and ``v`` must
+    be the keyfile text of its ``g^x`` and ``g^y``."""
     data = _read_json_object("keyfile", path)
     if data.get("group") != group.name:
         raise ConfigError(
@@ -325,26 +338,29 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
         raise ConfigError("keyfile keypairs must be a list")
     if len(entries) < n:
         raise ConfigError(f"keyfile holds {len(entries)} keypairs, need {n}")
-    keypairs = []
+    fields = []
     for entry in entries[:n]:
         try:
             ecu_id = entry["ecu_id"]
-            x, y = (int(entry[k], 16) for k in "xy")
+            x, y = (_keyfile_exponent(entry, k) for k in "xy")
             u, v = entry["u"], entry["v"]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed keyfile entry: {exc}") from exc
         if not (0 < x < group.order and 0 < y < group.order):
             raise ConfigError(
                 f"keyfile entry {ecu_id} has exponents outside [1, order)")
+        fields.append((ecu_id, x, y, u, v))
+    # Unit ids become node and CAN ids: they must be exactly 0..n-1.
+    ids = [entry[0] for entry in fields]
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(n)):
+        raise ConfigError(f"keyfile unit ids {ids} must be the ints 0..{n - 1}")
+    keypairs = []
+    for ecu_id, x, y, u, v in fields:
         kp = kem.keypair(group, ecu_id, x, y)
         if group.element_hex(kp.pub_key) != u or group.element_hex(kp.pub_bind) != v:
             raise ConfigError(
                 f"keyfile entry {ecu_id} has inconsistent public values")
         keypairs.append(kp)
-    # Unit ids become node and CAN ids: they must be exactly 0..n-1.
-    ids = [kp.ecu_id for kp in keypairs]
-    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(n)):
-        raise ConfigError(f"keyfile unit ids {ids} must be the ints 0..{n - 1}")
     return keypairs
 
 

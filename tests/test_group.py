@@ -5,6 +5,7 @@ repeated-multiplication oracle; the production group gets randomized trials
 plus independent primality verification of its frozen constants.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -629,3 +630,77 @@ def test_failed_montgomery_context_frees_what_it_made(libcrypto, monkeypatch):
         libcrypto.mod_exp(3, 5, m)
     assert libcrypto._moduli == before
     assert freed == ["BN_MONT_CTX_free", "BN_free"]
+
+
+@pytest.mark.parametrize("symbol, power", [
+    ("BN_mod_exp_mont", lambda lc: lc.mod_exp(3, 5, BIG_MODULUS)),
+    ("BN_mod_exp2_mont", lambda lc: lc.mod_exp2(3, 5, 7, 11, BIG_MODULUS)),
+    # 33 has two nonzero digits, so its power multiplies two table entries.
+    ("BN_mod_mul_montgomery", lambda lc: lc.fixed_base_exp(3, 33, BIG_MODULUS, 16)),
+    ("BN_mod_mul_montgomery", lambda lc: lc._Table(5, BIG_MODULUS, 16)),
+], ids=["mod_exp", "mod_exp2", "table_power", "table_build"])
+def test_failed_power_raises_and_frees_what_it_made(libcrypto, monkeypatch,
+                                                    symbol, power):
+    # The modulus and the table a power reads are kept for the process, so
+    # both exist before counting starts; every BIGNUM and BN_CTX the failed
+    # call allocates must be freed by the time MemoryError is raised.
+    libcrypto.fixed_base_exp(3, 1, BIG_MODULUS, 16)
+    real, live, made = libcrypto.lib, set(), []
+
+    def fail(*args):
+        return 0
+    fail.__name__ = symbol
+
+    def allocating(fn):     # _bn passes BN_bin2bn no BIGNUM to fill
+        def allocate(*args):
+            ptr = fn(*args)
+            live.add(ptr)
+            made.append(ptr)
+            return ptr
+        return allocate
+
+    def freeing(fn):
+        def free(ptr):
+            if ptr is not None:
+                live.remove(ptr)
+            fn(ptr)
+        return free
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(real, name)
+            if name == symbol:
+                return fail
+            if name in ("BN_new", "BN_CTX_new", "BN_bin2bn"):
+                return allocating(fn)
+            if name in ("BN_free", "BN_CTX_free"):
+                return freeing(fn)
+            return fn
+
+    monkeypatch.setattr(libcrypto, "lib", Counting())
+    with pytest.raises(MemoryError, match="libcrypto"):
+        power(libcrypto)
+    assert made and live == set()
+
+
+def _undeclared_symbols(source: str) -> set[str]:
+    """The ``lib.<symbol>`` names a module's source reads that its one
+    signature table (the ``for _name, _restype, _argtypes in`` loop) does
+    not declare."""
+    tree = ast.parse(source)
+    [table] = [node.iter for node in ast.walk(tree) if isinstance(node, ast.For)
+               and isinstance(node.target, ast.Tuple)
+               and [getattr(t, "id", None) for t in node.target.elts]
+               == ["_name", "_restype", "_argtypes"]]
+    declared = {row.elts[0].value for row in table.elts}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "lib"}
+    return used - declared
+
+
+def test_every_libcrypto_symbol_is_declared(libcrypto):
+    # An undeclared symbol would get ctypes' default int return type, which
+    # truncates a 64-bit pointer.
+    source = Path(libcrypto.__file__).read_text()
+    assert _undeclared_symbols(source) == set()
+    assert _undeclared_symbols(source + "\nlib.EC_POINT_new()\n") == {"EC_POINT_new"}

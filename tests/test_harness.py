@@ -2,6 +2,7 @@
 adversary behavior end to end."""
 
 import json
+import re
 from fractions import Fraction
 from random import Random
 
@@ -21,6 +22,7 @@ from canvault.harness import (ScenarioConfig, Scheme, SimReport,
                               run_scenario, write_keyfile)
 from canvault.protocol import MsgKind, body_length
 from support import affine_fit
+from test_golden import GOLDEN
 
 
 class TestMessageFormulas:
@@ -401,6 +403,23 @@ def _with_first_entry(keyfile: dict, **fields) -> dict:
     return {**keyfile, "keypairs": [{**keyfile["keypairs"][0], **fields}]}
 
 
+def _respelled(keyfile: dict, field: str, value: int, text: str) -> dict:
+    """A keyfile holding only its first keypair, with exponent ``field`` set
+    to ``value`` spelled as ``text`` and its public half consistent, so the
+    spelling alone is wrong."""
+    group = get_group("toy23")
+    public = "u" if field == "x" else "v"
+    return _with_first_entry(keyfile, **{
+        field: text, public: group.element_hex(group.exp(group.generator, value))})
+
+
+# Spellings of 7 (and of 10, for upper case) that int(text, 16) would read
+# but write_keyfile never writes.
+_MISSPELLED = {"0x_prefix": (7, "0x7"), "padded_sign": (7, " +7 "),
+               "underscore": (7, "0_7"), "upper_case": (10, "A"),
+               "leading_zero": (7, "07")}
+
+
 class TestKeyfiles:
     def test_keyfile_run_matches_inline_run(self, tmp_path):
         group = get_group("toy23")
@@ -460,7 +479,7 @@ class TestKeyfiles:
     # toy23: modulus 23, order 11. A non-member u (5 is no square mod 23),
     # an x congruent to the right one but outside [1, order), x = 0 with its
     # consistent u = g^0, a top-level list, keypairs that are no list, an
-    # entry without x, and an x that is no hex.
+    # entry without x, an x that is no hex, and each _MISSPELLED x and y.
     @pytest.mark.parametrize("malform, message", [
         (lambda d: _with_first_entry(d, u="5"), "inconsistent public values"),
         (lambda d: _with_first_entry(
@@ -474,8 +493,14 @@ class TestKeyfiles:
                                        if k != "x"}]},
          "malformed keyfile entry: 'x'"),
         (lambda d: _with_first_entry(d, x="0xg"), "malformed keyfile entry"),
+    ] + [
+        (lambda d, f=field, v=value, t=text: _respelled(d, f, v, t),
+         re.escape(f"malformed keyfile entry: {field} {text!r} is not "
+                   "lower-case hex without prefix or leading zeros"))
+        for field in "xy" for value, text in _MISSPELLED.values()
     ], ids=["non_member_u", "x_minus_order", "zero_x", "list", "keypairs_dict",
-            "missing_x", "non_hex_x"])
+            "missing_x", "non_hex_x"] + [
+        f"{field}_{name}" for field in "xy" for name in _MISSPELLED])
     def test_malformed_keyfile_refused(self, tmp_path, malform, message):
         group = get_group("toy23")
         path = tmp_path / "params.json"
@@ -672,20 +697,59 @@ def hostile_toy_configs(draw):
                           ctr_max=7, adversary=adversary)
 
 
-def _run(cfg: ScenarioConfig):
+def _run(cfg: ScenarioConfig, trace_path=None):
     """(report bytes, the run-check error or None) of one run."""
     try:
-        return run_scenario(cfg).to_json(), None
+        return run_scenario(cfg, trace_path).to_json(), None
     except RunCheckError as exc:
         assert exc.report is not None
         return exc.report.to_json(), exc
 
 
+def _fragment_sets(cfg: ScenarioConfig, stalled: bool) -> int:
+    """Fragment sets a run sends: one per protocol message and forgery, and
+    one copy per replay entry whose (kind, occurrence) was sent."""
+    sent = {MsgKind.PAIRWISE_CIPHER.value: cfg.n_ecus,
+            MsgKind.GROUP_SECRET.value: cfg.n_ecus,
+            MsgKind.SEED_BROADCAST.value: 0 if stalled else 1}
+    for entry in cfg.adversary:
+        if entry["action"] == "forge":
+            sent[entry["target"]] += 1
+    replays = sum(entry["action"] == "replay"
+                  and entry.get("occurrence", 0) < sent[entry["target"]]
+                  for entry in cfg.adversary)
+    return sum(sent.values()) + replays
+
+
+def _assert_sets_arrive_whole(trace_csv: str, sets: int) -> dict:
+    """Under each (CAN id, sequence number), the trace's fragment indexes run
+    0..total-1 once for the original and once for each replay copy, never
+    interleaved, over ``sets`` sets in all. Returns each key's (total,
+    copies)."""
+    frags = {}
+    for row in trace_csv.splitlines()[1:]:
+        can_id, frag = row.split(",")[1:3]
+        if frag != "data":
+            seq, index_total = frag.split(":")
+            frags.setdefault((can_id, int(seq)), []).append(index_total)
+    shape = {}
+    for key, seen in frags.items():
+        total = int(seen[0].split("/")[1])
+        copies = len(seen) // total
+        assert seen == [f"{i}/{total}" for i in range(total)] * copies, key
+        shape[key] = (total, copies)
+    assert sum(copies for _, copies in shape.values()) == sets
+    return shape
+
+
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(cfg=hostile_toy_configs())
 @example(cfg=ScenarioConfig.from_dict(FOREIGN_KEYED))
-def test_adversary_schedules_keep_the_run_invariants(cfg):
-    report_json, error = _run(cfg)
+def test_adversary_schedules_keep_the_run_invariants(tmp_path_factory, cfg):
+    trace = tmp_path_factory.mktemp("trace") / "trace.csv"
+    report_json, error = _run(cfg, str(trace))
+    _assert_sets_arrive_whole(trace.read_text(), _fragment_sets(
+        cfg, isinstance(error, DeadlockError)))
     again_json, again = _run(cfg)
     assert again_json == report_json and str(again) == str(error)
     report = json.loads(report_json)
@@ -695,3 +759,14 @@ def test_adversary_schedules_keep_the_run_invariants(cfg):
         assert report["checks"]["frame_accounting"]
     if not report["checks"]["convergence"]:
         assert "did not issue held by ecu" in str(error)
+
+
+def test_paper_size_replays_arrive_whole(tmp_path):
+    """The golden 2048-bit hostile run replays a 9-frame pairwise set, a
+    2-frame group secret and the 1-frame seed; each copy follows its
+    original whole."""
+    cfg = ScenarioConfig.from_dict(GOLDEN["hostile_schnorr256_n35"][0])
+    trace = tmp_path / "trace.csv"
+    run_scenario(cfg, trace_path=str(trace))
+    shape = _assert_sets_arrive_whole(trace.read_text(), _fragment_sets(cfg, False))
+    assert sorted(v for v in shape.values() if v[1] > 1) == [(1, 2), (2, 2), (9, 2)]

@@ -1,6 +1,7 @@
 """KEM tests: a fully forced toy trace, exhaustive toy sweeps against a
 modular-arithmetic oracle, and randomized production-group trials."""
 
+import json
 from itertools import product
 from random import Random
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from canvault import harness, kem, primitives
-from canvault.errors import ConsistencyError, DecodeError
+from canvault.errors import ConfigError, ConsistencyError, DecodeError
 from canvault.group import Group, GroupElement, get_group
 from support import decoded_as_members, elements, mul
 
@@ -220,6 +221,26 @@ def test_backend_calls_per_keyfile_entry(counted, tmp_path):
     used()
     assert harness.load_keyfile(path, grp, 2) == keypairs
     assert used() == ["fixed", "fixed"] * 2
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda entries: entries[1].update(ecu_id=0), "unit ids"),
+    (lambda entries: entries[-1].update(x="0x" + entries[-1]["x"]),
+     "is not lower-case hex"),
+], ids=["duplicate_id", "last_x_misspelled"])
+def test_keyfile_refused_before_any_power(counted, tmp_path, spoil, message):
+    """Every entry's fields are checked before the first keypair is
+    derived, so a keyfile that fails a check costs no power at all."""
+    grp, used = counted
+    path = tmp_path / "params.json"
+    harness.write_keyfile(str(path), grp, harness.generate_keypairs(grp, 3, 0))
+    data = json.loads(path.read_text())
+    spoil(data["keypairs"])
+    path.write_text(json.dumps(data))
+    used()
+    with pytest.raises(ConfigError, match=message):
+        harness.load_keyfile(str(path), grp, 3)
+    assert used() == []
 
 
 @pytest.mark.parametrize("binding, error", [
