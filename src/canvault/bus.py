@@ -10,17 +10,18 @@ Models the pieces of the bus that matter for protocol accounting:
 * acceptance filtering: each node declares the (kind, receiver) streams it
   listens to, as a CAN controller filters by id, and the bus hands a
   message only to the listeners of its stream,
-* per-node compute latency charged per cryptographic operation: a sender
-  pays its message kind's ops, and a listener the ops its handler or its
-  data-frame hook reports, so phase durations reflect the configured
-  hardware class,
+* per-node compute latency charged per cryptographic operation from the
+  latency table of the node's declared class: a sender pays its message
+  kind's ops, and a listener the ops its handler or its data-frame hook
+  reports, so phase durations reflect the configured hardware,
 * one send path, :meth:`Network.send`, that passes every message to the
   run's :class:`~canvault.adversary.Adversary` (which may tamper it or arm
   replays), and one record per fragment set: the set is delivered on its
   last fragment, and its armed replay copies are cut from it there.
 
-The bus knows no protocol rule beyond each kind's send cost: any node that
-declares its streams and answers :class:`Machine`'s calls can join. Everything
+The bus knows no protocol rule beyond each kind's send cost, and no node
+role: any node that declares its CAN id, latency class, label and streams and
+answers :class:`Machine`'s calls joins through :meth:`Network.add`. Everything
 is driven by one event heap of frames ordered by (time, insertion serial), so
 a (config, seed) pair fully determines the run.
 """
@@ -41,9 +42,6 @@ _FRAG_HEADER = struct.Struct(">HBB")     # msg_seq, frag_index, frag_total
 FRAG_HEADER_LEN = _FRAG_HEADER.size
 MAX_MSG_SEQ = 0xFFFF        # sequence numbers run 1..MAX_MSG_SEQ and never wrap
 FRAME_DATA_MAX = 60
-
-SECU_CAN_ID = 0x010
-ECU_CAN_BASE = 0x100
 
 _DATA_PAYLOAD = b"\x00" * 8
 
@@ -117,16 +115,16 @@ def fragment(msg: WireMessage, can_id: int, msg_seq: int,
 
 
 def reassemble(frames: list[CanFdFrame]) -> WireMessage:
-    """Rebuild the logical message from a complete fragment set."""
+    """Rebuild the logical message from a complete fragment set in index
+    order, as the bus delivers it; any other list is refused."""
     if not frames:
         raise ValueError("no frames to reassemble")
-    ordered = sorted(frames, key=attrgetter("header"))
-    headers = [f.header for f in ordered]
+    headers = [f.header for f in frames]
     seq, _, total = headers[0]
     if headers != [(seq, i, total) for i in range(total)]:
-        raise ValueError("fragments do not form one complete message")
-    first = ordered[0]
-    body = b"".join(f.payload[FRAG_HEADER_LEN:] for f in ordered)
+        raise ValueError("fragments do not form one complete message in order")
+    first = frames[0]
+    body = b"".join(f.payload[FRAG_HEADER_LEN:] for f in frames)
     return WireMessage(first.kind, first.sender, first.receiver, body)
 
 
@@ -136,25 +134,12 @@ def frame_time_us(frame: CanFdFrame, cfg: BusConfig) -> int:
     return -(-bits * 1_000_000 // cfg.bitrate_bps)
 
 
-# Latency presets, microseconds per operation for each node class. The
-# asymmetric figure covers one full encapsulation or decapsulation; the
-# sign/verify entries only feed the analytic computation tally.
-_STM32 = {"eccdh": 3_000, "hkdf": 300, "aes": 40, "sha": 40, "hmac": 40,
-          "sign": 2_870, "verify": 4_460}
-_W806 = {"eccdh": 2_000_000, "hkdf": 700, "aes": 100, "sha": 100, "hmac": 100}
-_UNO = {"eccdh": 4_000_000, "hkdf": 88_000, "aes": 1_000, "sha": 1_000,
-        "hmac": 1_000}
-
-LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
-    "stm32": {"secu": dict(_STM32), "ecu": dict(_STM32)},
-    "w806": {"secu": dict(_W806), "ecu": dict(_W806)},
-    "uno": {"secu": dict(_UNO), "ecu": dict(_UNO)},
-}
-
-
 class Machine(Protocol):
     """A node's state machine, as the bus calls it.
 
+    The node declares its bus identity: ``can_id``, the id its frames carry
+    into arbitration; ``node_class``, the key of the latency table that times
+    its ops; and ``label``, its name in :attr:`Network.rejections`.
     ``streams`` holds the (kind, receiver) pairs the node's acceptance filter
     passes; kind None is the data frames, and receiver ``ANY_RECEIVER``
     passes a kind whatever the frame's receiver field says. ``handle``
@@ -163,27 +148,14 @@ class Machine(Protocol):
     """
 
     node_id: int
+    can_id: int
+    node_class: str
+    label: str
     streams: tuple[tuple, ...]
 
     def handle(self, msg: WireMessage): ...
 
     def on_data_frame(self) -> tuple[str, ...]: ...
-
-
-class _Node:
-    __slots__ = ("node_id", "can_id", "node_class", "machine", "busy_until")
-
-    def __init__(self, node_id: int, can_id: int, node_class: str,
-                 machine: Machine):
-        self.node_id = node_id
-        self.can_id = can_id
-        self.node_class = node_class    # "secu" or "ecu"
-        self.machine = machine
-        self.busy_until = 0
-
-    @property
-    def label(self) -> str:
-        return "secu" if self.node_class == "secu" else f"ecu{self.node_id}"
 
 
 _node_id = attrgetter("node_id")
@@ -200,8 +172,9 @@ class Network:
         self.now = 0
         self.sent: list[CanFdFrame] = []    # every frame, in transmission order
         self.rejections: list[dict] = []
-        self._nodes: dict[int, _Node] = {}
-        self._listeners: dict[tuple, list[_Node]] = {}  # stream -> nodes by id
+        self._nodes: dict[int, Machine] = {}
+        self._listeners: dict[tuple, list[Machine]] = {}  # stream -> nodes by id
+        self._busy: dict[int, int] = {}     # node id -> end of its compute
         self._heap: list = []
         self._serial = 0
         self._pending: list = []            # (can_id, serial, frame)
@@ -213,18 +186,13 @@ class Network:
 
     # -- topology ---------------------------------------------------------
 
-    def add_secu(self, machine: Machine) -> None:
-        self._add_node(_Node(machine.node_id, SECU_CAN_ID, "secu", machine))
-
-    def add_ecu(self, machine: Machine) -> None:
-        node_id = machine.node_id
-        self._add_node(_Node(node_id, ECU_CAN_BASE + node_id, "ecu", machine))
-
-    def _add_node(self, node: _Node) -> None:
+    def add(self, node: Machine) -> None:
+        """Join a node to the bus under its declared identity."""
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
-        for stream in node.machine.streams:
+        self._busy[node.node_id] = 0
+        for stream in node.streams:
             listeners = self._listeners.setdefault(stream, [])
             # Nodes usually join in id order; only a late lower id is sorted in.
             if listeners and listeners[-1].node_id > node.node_id:
@@ -233,7 +201,7 @@ class Network:
                 listeners.append(node)
 
     def _listening(self, kind: Optional[MsgKind],
-                   receiver: Optional[int]) -> list[_Node]:
+                   receiver: Optional[int]) -> list[Machine]:
         """The nodes whose filter passes a (kind, receiver) frame, by id."""
         exact = self._listeners.get((kind, receiver), [])
         wild = self._listeners.get((kind, ANY_RECEIVER), [])
@@ -244,12 +212,12 @@ class Network:
 
     # -- scheduling -------------------------------------------------------
 
-    def _work(self, node: _Node, ops: tuple[str, ...]) -> int:
+    def _work(self, node: Machine, ops: tuple[str, ...]) -> int:
         """Run ops on a node once it is free; returns when it is free again."""
-        table = self.latency[node.node_class]
-        node.busy_until = max(self.now, node.busy_until) + \
-            sum(map(table.__getitem__, ops))
-        return node.busy_until
+        node_id, table = node.node_id, self.latency[node.node_class]
+        end = max(self.now, self._busy[node_id]) + sum(map(table.__getitem__, ops))
+        self._busy[node_id] = end
+        return end
 
     def schedule_protocol_send(self, sender_id: int,
                                msgs: list[WireMessage]) -> None:
@@ -305,7 +273,7 @@ class Network:
         if frame.kind is None:
             # Every data-frame listener counts the frame, its sender too.
             for node in self._listening(None, frame.receiver):
-                ops = node.machine.on_data_frame()
+                ops = node.on_data_frame()
                 if ops:
                     self._work(node, ops)
             return
@@ -331,10 +299,10 @@ class Network:
                 self._schedule(CanFdFrame(f.can_id, f.payload, f.kind, f.sender,
                                           f.receiver, ADVERSARY_ID), self.now + delay)
 
-    def _dispatch(self, node: _Node, msg: WireMessage) -> None:
-        # State commits in delivery order; busy_until only accounts for the
-        # compute time until the node's result is ready.
-        outcome = node.machine.handle(msg)
+    def _dispatch(self, node: Machine, msg: WireMessage) -> None:
+        # State commits in delivery order; the node's busy time only accounts
+        # for the compute time until its result is ready.
+        outcome = node.handle(msg)
         finish = self._work(node, outcome.ops)
         if outcome.rejected:
             self.rejections.append({
@@ -358,7 +326,7 @@ class Network:
                 heapq.heappush(self._pending, (frame.can_id, self._serial, frame))
             if not self._heap or self._heap[0][0] != self.now:
                 self._try_start()
-        self.now = max([self.now] + [n.busy_until for n in self._nodes.values()])
+        self.now = max([self.now, *self._busy.values()])
         return self.now
 
     def write_trace_csv(self, path: str) -> None:

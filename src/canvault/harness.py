@@ -21,13 +21,13 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import kem
 from .adversary import (ACTIONS, ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
                         ForgeAction, TamperAction)
-from .bus import (ECU_CAN_BASE, LATENCY_PRESETS, MAX_MSG_SEQ, BusConfig,
-                  Network, fragment, fragment_count, frame_time_us)
+from .bus import (MAX_MSG_SEQ, BusConfig, Network, fragment, fragment_count,
+                  frame_time_us)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
-from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, MESSAGE_OPS, \
-    ROTATION_OPS, SECU_ID, Ecu, MsgKind, Secu, WireMessage, body_length, \
-    session_chain_key
+from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, ECU_CAN_BASE, \
+    MESSAGE_OPS, ROTATION_OPS, SECU_ID, Ecu, MsgKind, Secu, WireMessage, \
+    body_length, session_chain_key
 
 
 class Scheme(enum.Enum):
@@ -237,6 +237,22 @@ def _adversary_action(entry, group: Group):
     if cls is TamperAction and settings["bit"] >= body_length(group, kind) * 8:
         raise ConfigError(f"tamper bit {settings['bit']} outside a {target} body")
     return cls(kind, **settings)
+
+
+# Latency presets, microseconds per operation for each node class. The
+# asymmetric figure covers one full encapsulation or decapsulation; the
+# sign/verify entries only feed the analytic computation tally.
+_STM32 = {"eccdh": 3_000, "hkdf": 300, "aes": 40, "sha": 40, "hmac": 40,
+          "sign": 2_870, "verify": 4_460}
+_W806 = {"eccdh": 2_000_000, "hkdf": 700, "aes": 100, "sha": 100, "hmac": 100}
+_UNO = {"eccdh": 4_000_000, "hkdf": 88_000, "aes": 1_000, "sha": 1_000,
+        "hmac": 1_000}
+
+LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
+    "stm32": {"secu": dict(_STM32), "ecu": dict(_STM32)},
+    "w806": {"secu": dict(_W806), "ecu": dict(_W806)},
+    "uno": {"secu": dict(_UNO), "ecu": dict(_UNO)},
+}
 
 
 def _check_latency_profile_name(name: str) -> None:
@@ -475,9 +491,8 @@ def _build(cfg: ScenarioConfig, group: Group, latency: dict[str, dict[str, int]]
                           group, cfg.rng_seed)
     net = Network(BusConfig(cfg.bitrate_bps, cfg.frame_overhead_bits), latency,
                   adversary)
-    net.add_secu(secu)
-    for ecu in ecus:
-        net.add_ecu(ecu)
+    for node in (secu, *ecus):
+        net.add(node)
     adversary.start(net)
     return net, secu, ecus
 
@@ -502,7 +517,7 @@ def _key_checks(secu: Secu, ecus: list[Ecu]) -> tuple[dict[str, bool], list[str]
             {(s.session_key, s.round_index) for s in sessions}) == 1,
     }
     chain_key = session_chain_key(secu.group_secret)
-    foreign = [f"ecu{e.ecu_id}" for e in ecus
+    foreign = [e.label for e in ecus
                if e.pairwise not in (None, secu.pairwise[e.ecu_id])
                or e.group_secret not in (None, secu.group_secret)
                or e.session is not None and e.session.chain_key != chain_key]
@@ -573,7 +588,7 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
     held = f"; keys the SECU did not issue held by {', '.join(foreign)}" \
         if foreign else ""
     if stalled:
-        raise DeadlockError(f"seed sender ecu{sender.ecu_id} holds no group secret; "
+        raise DeadlockError(f"seed sender {sender.label} holds no group secret; "
                             f"the session phase could not start{held}",
                             report=report)
     if not all(checks.values()):

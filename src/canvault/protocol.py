@@ -18,8 +18,10 @@ The classes here are pure state machines: they consume and produce
 :class:`WireMessage` objects and know nothing about frames or timing. A
 node's one receive method, ``handle``, returns an :class:`Outcome` with a
 reason code rather than raise, and :func:`_open` checks every MAC'd body.
-Each node declares the streams its acceptance filter passes, and each
-outcome carries the ops its handling cost, which the bus charges.
+Each node declares its identity on the bus: the CAN id it sends under, the
+latency class that times it, its label in rejections and run errors, and the
+streams its acceptance filter passes. Each outcome carries the ops its
+handling cost, which the bus charges.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .errors import ConsistencyError, DecodeError, StateError
 from .group import Group, GroupElement
 
 SECU_ID = -1            # node id of the central security unit
+SECU_CAN_ID = 0x010     # CAN id the SECU sends under
+ECU_CAN_BASE = 0x100    # unit i sends under CAN id ECU_CAN_BASE + i
 BROADCAST = None        # receiver value for broadcast messages
 ANY_RECEIVER = "*"      # filter wildcard: a stream whatever its receiver field
 
@@ -211,6 +215,9 @@ class Secu:
     """
 
     node_id = SECU_ID
+    can_id = SECU_CAN_ID
+    node_class = "secu"
+    label = "secu"
     streams = (SEEDS,)
 
     def __init__(self, group: Group,
@@ -270,11 +277,16 @@ class Secu:
 class Ecu:
     """Regular unit: decapsulates, unwraps the group secret, keys sessions."""
 
+    node_class = "ecu"
+
     def __init__(self, group: Group, keypair: kem.EcuKeyPair,
                  ctr_max: int = DEFAULT_CTR_MAX,
                  replay_cache_size: int = DEFAULT_REPLAY_CACHE):
         self.group = group
         self.keypair = keypair
+        # Plain attributes: the bus reads can_id once per data frame sent.
+        self.can_id = ECU_CAN_BASE + keypair.ecu_id
+        self.label = f"ecu{keypair.ecu_id}"
         self.ctr_max = ctr_max
         self.pairwise: Optional[bytes] = None
         self.group_secret: Optional[bytes] = None

@@ -3,25 +3,28 @@ delivery by acceptance filter, determinism of the event loop, tampers and
 replays on the wire, and the bus's independence from the protocol's rules."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canvault
 import canvault.bus
 from canvault import kem
 from canvault.adversary import (ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
                                 ReplayAction, TamperAction)
-from canvault.bus import (BusConfig, CanFdFrame, LATENCY_PRESETS, Network,
+from canvault.bus import (BusConfig, CanFdFrame, Machine, Network,
                           frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
-from canvault.harness import ScenarioConfig, run_scenario
-from canvault.protocol import (ANY_RECEIVER, DATA_FRAMES, MESSAGE_OPS, SECU_ID,
-                               SEEDS, Disposition, Ecu, MsgKind, Outcome, Secu,
-                               WireMessage)
+from canvault.harness import LATENCY_PRESETS, ScenarioConfig, run_scenario
+from canvault.protocol import (ANY_RECEIVER, DATA_FRAMES, ECU_CAN_BASE,
+                               MESSAGE_OPS, SECU_ID, SEEDS, Disposition, Ecu,
+                               MsgKind, Outcome, Secu, WireMessage)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,10 @@ class TestFragmentation:
             reassemble(frames[:-1] + [longer[3]])
         with pytest.raises(ValueError):
             reassemble([])
+        # A complete set out of index order is refused, not reordered.
+        assert len(frames) == 4
+        with pytest.raises(ValueError):
+            reassemble([frames[i] for i in (2, 0, 3, 1)])
 
 
 class TestFrameTiming:
@@ -122,8 +129,8 @@ class TestArbitration:
         rng = Random(0)
         net = Network(BusConfig(bitrate_bps), LATENCY_PRESETS["stm32"])
         kp_a, kp_b = kem.keygen(toy, 0, rng), kem.keygen(toy, 1, rng)
-        net.add_ecu(Ecu(toy, kp_a))
-        net.add_ecu(Ecu(toy, kp_b))
+        net.add(Ecu(toy, kp_a))
+        net.add(Ecu(toy, kp_b))
         return net
 
     def test_lowest_id_wins_and_loser_queues(self, toy):
@@ -171,8 +178,8 @@ class TestDeliveryAndDeterminism:
         original = ecu.handle
         ecu.handle = lambda msg: (seen.append(msg), original(msg))[1]
         net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
-        net.add_secu(secu)
-        net.add_ecu(ecu)
+        net.add(secu)
+        net.add(ecu)
         net.schedule_protocol_send(SECU_ID, secu.run_phase2(rng))
         net.run_to_quiescence()
         assert len(seen) == 1
@@ -216,13 +223,21 @@ class TestDeliveryAndDeterminism:
 
 
 class StubNode:
-    """A node that is neither an Ecu nor a Secu: it accepts whatever reaches
-    it at its kind's cost, and pays one hkdf per data frame. Each handled
-    message is also logged with the node's id in ``log``, if one is given."""
+    """A node that is neither an Ecu nor a Secu. It declares its own bus
+    identity: CAN id ``ECU_CAN_BASE + node_id``, latency class "ecu" and
+    label ``stub<node_id>`` unless given others. It accepts whatever reaches
+    it at its kind's cost (or, with ``refuse``, rejects it for "refused"),
+    and pays one hkdf per data frame. Each handled message is also logged
+    with the node's id in ``log``, if one is given."""
 
-    def __init__(self, node_id: int, streams, log=None):
+    def __init__(self, node_id: int, streams, log=None, *, can_id=None,
+                 node_class="ecu", label=None, refuse=False):
         self.node_id = node_id
+        self.can_id = ECU_CAN_BASE + node_id if can_id is None else can_id
+        self.node_class = node_class
+        self.label = f"stub{node_id}" if label is None else label
         self.streams = streams
+        self.refuse = refuse
         self.handled: list[WireMessage] = []
         self.data_frames = 0
         self.log = [] if log is None else log
@@ -230,6 +245,8 @@ class StubNode:
     def handle(self, msg: WireMessage) -> Outcome:
         self.handled.append(msg)
         self.log.append(self.node_id)
+        if self.refuse:
+            return Outcome(Disposition.REJECTED, MESSAGE_OPS[msg.kind], "refused")
         return Outcome(Disposition.ACCEPTED, MESSAGE_OPS[msg.kind])
 
     def on_data_frame(self) -> tuple[str, ...]:
@@ -237,10 +254,10 @@ class StubNode:
         return ("hkdf",)
 
 
-def stub_net(*nodes) -> Network:
-    net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
+def stub_net(*nodes, latency=LATENCY_PRESETS["stm32"]) -> Network:
+    net = Network(BusConfig(), latency)
     for node in nodes:
-        net.add_ecu(node)
+        net.add(node)
     return net
 
 
@@ -315,6 +332,57 @@ class TestAcceptanceFilter:
         assert log == [0, 1, 2]
 
 
+class TestDeclaredIdentity:
+    """A node's CAN id, latency class and label are its own declarations;
+    the bus reads them and assigns none."""
+
+    def test_machines_declare_their_identity(self, toy):
+        machine = set(Machine.__annotations__)
+        assert machine == {"node_id", "can_id", "node_class", "label", "streams"}
+        assert machine <= set(vars(StubNode(0, ())))
+        secu = Secu(toy, [])
+        assert (secu.can_id, secu.node_class, secu.label) == (0x010, "secu", "secu")
+        ecu = Ecu(toy, kem.keygen(toy, 3, Random(0)))
+        assert (ecu.can_id, ecu.node_class, ecu.label) == (0x103, "ecu", "ecu3")
+        # Plain attributes, not properties: the bus reads can_id per data frame.
+        assert {"can_id", "label"} <= set(vars(ecu))
+
+    def test_the_lower_declared_can_id_wins_arbitration(self):
+        # Declared ids invert the order of the node ids.
+        net = stub_net(StubNode(0, (), can_id=0x300), StubNode(1, (), can_id=0x200))
+        net.schedule_data_frame(0)
+        net.schedule_data_frame(1)
+        net.run_to_quiescence()
+        assert [(f.sender, f.can_id, f.timestamp_us) for f in net.sent] == \
+            [(1, 0x200, 0), (0, 0x300, 192)]
+
+    def test_two_secu_class_nodes_are_each_charged_the_secu_cost(self):
+        # Two nodes of one latency class under distinct CAN ids, as one SECU
+        # per group would put on one bus.
+        table = {"secu": dict.fromkeys(("hkdf", "hmac"), 1_000),
+                 "ecu": dict.fromkeys(("hkdf", "hmac"), 1)}
+        nodes = [StubNode(i, (), can_id=0x010 + i, node_class="secu")
+                 for i in range(2)]
+        net = stub_net(*nodes, latency=table)
+        cost = sum(table["secu"][op] for op in MESSAGE_OPS[MsgKind.SEED_BROADCAST])
+        for node in nodes:
+            start = net.now
+            net.schedule_protocol_send(node.node_id, [
+                WireMessage(MsgKind.SEED_BROADCAST, node.node_id, None, b"s")])
+            net.run_to_quiescence()
+            assert (net.sent[-1].can_id, net.sent[-1].timestamp_us) == \
+                (node.can_id, start + cost)
+
+    def test_a_refusal_is_logged_under_the_declared_label(self):
+        refuser = StubNode(1, (SEEDS,), label="gateway", refuse=True)
+        net = stub_net(StubNode(0, ()), refuser)
+        net.schedule_protocol_send(
+            0, [WireMessage(MsgKind.SEED_BROADCAST, 0, None, b"s")])
+        net.run_to_quiescence()
+        assert [(r["node"], r["kind"], r["reason"]) for r in net.rejections] == \
+            [("gateway", "seed_broadcast", "refused")]
+
+
 class TestTamper:
     # A 200-byte body goes out as 4 fragments of 60, 60, 60 and 20 data
     # bytes; the bits lie in the first, the second, the third and the last.
@@ -325,8 +393,8 @@ class TestTamper:
         def wire(*actions):
             listener = StubNode(1, (SEEDS,))
             net = Network(BusConfig(), LATENCY_PRESETS["stm32"], Adversary(actions))
-            net.add_ecu(StubNode(0, ()))
-            net.add_ecu(listener)
+            net.add(StubNode(0, ()))
+            net.add(listener)
             net.schedule_protocol_send(
                 0, [WireMessage(MsgKind.SEED_BROADCAST, 0, None, body)])
             net.run_to_quiescence()
@@ -357,6 +425,37 @@ def test_bus_imports_from_the_protocol_only_its_wire_format():
         else:
             assert not any(name.endswith("protocol") for name in names)
     assert imported <= {"MsgKind", "WireMessage", "MESSAGE_OPS", "ANY_RECEIVER"}
+
+
+def test_bus_names_no_node_role_and_joins_nodes_one_way():
+    # A node's CAN id, latency class and label are declared by the node; the
+    # unit label format lives with the units, in canvault.protocol.
+    tree = ast.parse(inspect.getsource(canvault.bus))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & {"secu", "ecu"}
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not {name for name in bound if name.endswith(("_CAN_ID", "_CAN_BASE"))}
+    network = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Network")
+    joining = {method.name for method in network.body
+               if isinstance(method, ast.FunctionDef)
+               and (method.name.startswith("add") or any(
+                   isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "_nodes" for node in ast.walk(method)))}
+    assert joining == {"add"}
+    labelled = set()
+    for info in pkgutil.iter_modules(canvault.__path__):
+        module = importlib.import_module(f"canvault.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.JoinedStr) and any(
+                    isinstance(part, ast.Constant) and part.value.endswith("ecu")
+                    and isinstance(after, ast.FormattedValue)
+                    for part, after in zip(node.values, node.values[1:])):
+                labelled.add(info.name)
+    assert labelled == {"protocol"}
 
 
 def test_bus_leaves_the_adversary_and_the_frame_counts_to_their_owners():

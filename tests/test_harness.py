@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canvault import harness, kem, protocol
-from canvault.bus import LATENCY_PRESETS, BusConfig
+from canvault.bus import BusConfig
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
 from canvault.group import get_group
-from canvault.harness import (ScenarioConfig, Scheme, SimReport,
-                              comparison_ratios, comparison_table,
+from canvault.harness import (LATENCY_PRESETS, ScenarioConfig, Scheme,
+                              SimReport, comparison_ratios, comparison_table,
                               computation_tally_us, expected_messages,
                               expected_phase_times, load_latency_profile,
                               run_scenario, write_keyfile)

@@ -1,8 +1,11 @@
 """Record semantics the modules rely on: records that refuse assignment,
-a group element whose identity is its value, and annotations that resolve."""
+a group element whose identity is its value, annotations that resolve, and
+imports that are read."""
 
+import ast
 import copy
 import importlib
+import inspect
 import pkgutil
 import types
 from typing import get_type_hints
@@ -74,3 +77,22 @@ def test_annotations_resolve(name):
         except NameError as exc:
             unresolved.append(f"{qualname}: {exc}")
     assert not unresolved
+
+
+def _imported_names(tree: ast.Module):
+    """The names a module's imports bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+# The package's own imports are its __all__, read by importers.
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "canvault"])
+def test_every_imported_name_is_read(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(_imported_names(tree)) - read) == []
