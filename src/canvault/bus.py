@@ -190,6 +190,8 @@ class Network:
         """Join a node to the bus under its declared identity."""
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
+        if node.node_class not in self.latency:
+            raise ConfigError(f"no latency table for node class {node.node_class!r}")
         self._nodes[node.node_id] = node
         self._busy[node.node_id] = 0
         for stream in node.streams:

@@ -239,20 +239,19 @@ def _adversary_action(entry, group: Group):
     return cls(kind, **settings)
 
 
-# Latency presets, microseconds per operation for each node class. The
-# asymmetric figure covers one full encapsulation or decapsulation; the
-# sign/verify entries only feed the analytic computation tally.
-_STM32 = {"eccdh": 3_000, "hkdf": 300, "aes": 40, "sha": 40, "hmac": 40,
-          "sign": 2_870, "verify": 4_460}
-_W806 = {"eccdh": 2_000_000, "hkdf": 700, "aes": 100, "sha": 100, "hmac": 100}
-_UNO = {"eccdh": 4_000_000, "hkdf": 88_000, "aes": 1_000, "sha": 1_000,
-        "hmac": 1_000}
-
-LATENCY_PRESETS: dict[str, dict[str, dict[str, int]]] = {
-    "stm32": {"secu": dict(_STM32), "ecu": dict(_STM32)},
-    "w806": {"secu": dict(_W806), "ecu": dict(_W806)},
-    "uno": {"secu": dict(_UNO), "ecu": dict(_UNO)},
+# Latency presets, one device's microseconds per operation for every node
+# class. The asymmetric figure covers one full encapsulation or decapsulation;
+# the sign/verify entries only feed the analytic computation tally.
+LATENCY_PRESETS: dict[str, dict[str, int]] = {
+    "stm32": {"eccdh": 3_000, "hkdf": 300, "aes": 40, "sha": 40, "hmac": 40,
+              "sign": 2_870, "verify": 4_460},
+    "w806": {"eccdh": 2_000_000, "hkdf": 700, "aes": 100, "sha": 100, "hmac": 100},
+    "uno": {"eccdh": 4_000_000, "hkdf": 88_000, "aes": 1_000, "sha": 1_000,
+            "hmac": 1_000},
 }
+
+# The latency classes the nodes declare; a profile times each of them.
+_NODE_CLASSES = (Secu.node_class, Ecu.node_class)
 
 
 def _check_latency_profile_name(name: str) -> None:
@@ -268,12 +267,13 @@ _CHARGED_OPS = frozenset().union(*MESSAGE_OPS.values(), ROTATION_OPS)
 
 
 def load_latency_profile(name: str) -> dict[str, dict[str, int]]:
-    """Resolve a preset name or ``custom:<path>`` into a latency table."""
+    """Resolve a preset name or ``custom:<path>`` into a latency table per
+    node class; a preset's one device table times every class."""
     _check_latency_profile_name(name)
     if name in LATENCY_PRESETS:
-        return LATENCY_PRESETS[name]
+        return dict.fromkeys(_NODE_CLASSES, LATENCY_PRESETS[name])
     table = _read_json_object("latency profile", name.split(":", 1)[1])
-    for node_class in ("secu", "ecu"):
+    for node_class in _NODE_CLASSES:
         ops = table.get(node_class)
         if not isinstance(ops, dict):
             raise ConfigError(f"profile must map {node_class!r} to op latencies")
@@ -441,10 +441,11 @@ def _stages(n: int) -> tuple[tuple[str, MsgKind, str, int, tuple[str, ...]], ...
     """The keying stages in send order: (name, kind, sending node class,
     message count, receiving node classes). The seed reaches the SECU and
     every unit but its sender, so at n = 1 only the SECU."""
-    return (("pairwise", MsgKind.PAIRWISE_CIPHER, "secu", n, ("ecu",)),
-            ("group_secret", MsgKind.GROUP_SECRET, "secu", n, ("ecu",)),
-            ("session", MsgKind.SEED_BROADCAST, "ecu", 1,
-             ("secu", "ecu") if n > 1 else ("secu",)))
+    secu, ecu = _NODE_CLASSES
+    return (("pairwise", MsgKind.PAIRWISE_CIPHER, secu, n, (ecu,)),
+            ("group_secret", MsgKind.GROUP_SECRET, secu, n, (ecu,)),
+            ("session", MsgKind.SEED_BROADCAST, ecu, 1,
+             (secu, ecu) if n > 1 else (secu,)))
 
 
 def _honest_frame_count(group: Group, n: int) -> int:
@@ -467,7 +468,7 @@ def expected_phase_times(group: Group, n: int, latency: dict[str, dict[str, int]
         msg = WireMessage(kind, SECU_ID, None, bytes(body_length(group, kind)))
         wire = sum(frame_time_us(f, bus) for f in fragment(msg, 0, 0))
         cost = {node: sum(latency[node][op] for op in MESSAGE_OPS[kind])
-                for node in ("secu", "ecu")}
+                for node in (sender, *receivers)}
         ready = end = start
         for _ in range(count):
             ready += cost[sender]
@@ -581,7 +582,8 @@ def run_scenario(cfg: ScenarioConfig, trace_path: Optional[str] = None) -> SimRe
         checks=checks, comparison=comparison_table([cfg.n_ecus]),
         computation_tally_us={
             scheme.value: tally for scheme in Scheme
-            if (tally := computation_tally_us(scheme, latency["secu"])) is not None})
+            if (tally := computation_tally_us(scheme, latency[secu.node_class]))
+            is not None})
 
     if trace_path is not None:
         net.write_trace_csv(trace_path)

@@ -21,10 +21,14 @@ from canvault.bus import (BusConfig, CanFdFrame, Machine, Network,
                           frame_time_us, fragment, reassemble)
 from canvault.errors import ConfigError
 from canvault.group import get_group
-from canvault.harness import LATENCY_PRESETS, ScenarioConfig, run_scenario
+from canvault.harness import (LATENCY_PRESETS, ScenarioConfig,
+                              load_latency_profile, run_scenario)
 from canvault.protocol import (ANY_RECEIVER, DATA_FRAMES, ECU_CAN_BASE,
                                MESSAGE_OPS, SECU_ID, SEEDS, Disposition, Ecu,
                                MsgKind, Outcome, Secu, WireMessage)
+
+
+STM32 = load_latency_profile("stm32")      # the stm32 table for each node class
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +131,7 @@ class TestArbitration:
     def build_two_node_net(self, toy, bitrate_bps=1_000_000):
         """Units 0 and 1, under CAN ids 0x100 and 0x101."""
         rng = Random(0)
-        net = Network(BusConfig(bitrate_bps), LATENCY_PRESETS["stm32"])
+        net = Network(BusConfig(bitrate_bps), STM32)
         kp_a, kp_b = kem.keygen(toy, 0, rng), kem.keygen(toy, 1, rng)
         net.add(Ecu(toy, kp_a))
         net.add(Ecu(toy, kp_b))
@@ -177,7 +181,7 @@ class TestDeliveryAndDeterminism:
         seen = []
         original = ecu.handle
         ecu.handle = lambda msg: (seen.append(msg), original(msg))[1]
-        net = Network(BusConfig(), LATENCY_PRESETS["stm32"])
+        net = Network(BusConfig(), STM32)
         net.add(secu)
         net.add(ecu)
         net.schedule_protocol_send(SECU_ID, secu.run_phase2(rng))
@@ -254,7 +258,7 @@ class StubNode:
         return ("hkdf",)
 
 
-def stub_net(*nodes, latency=LATENCY_PRESETS["stm32"]) -> Network:
+def stub_net(*nodes, latency=STM32) -> Network:
     net = Network(BusConfig(), latency)
     for node in nodes:
         net.add(node)
@@ -305,7 +309,7 @@ class TestAcceptanceFilter:
         # The listener pays for each frame once it has left the bus, one
         # after the other: the second frame ends before the first is paid.
         first_end = net.sent[1].timestamp_us
-        assert end == first_end + 2 * LATENCY_PRESETS["stm32"]["ecu"]["hkdf"]
+        assert end == first_end + 2 * LATENCY_PRESETS["stm32"]["hkdf"]
 
     def test_unkeyed_unit_neither_raises_nor_pays_on_a_data_frame(self, toy):
         ecu = Ecu(toy, kem.keygen(toy, 0, Random(0)))
@@ -382,6 +386,22 @@ class TestDeclaredIdentity:
         assert [(r["node"], r["kind"], r["reason"]) for r in net.rejections] == \
             [("gateway", "seed_broadcast", "refused")]
 
+    def test_a_class_with_no_latency_table_is_refused_at_join(self):
+        # A node of a class the profile does not time fails when it joins,
+        # never on its first charge, and leaves the bus as it found it.
+        unit = StubNode(0, (DATA_FRAMES,))
+        net = stub_net(unit)
+        before = (dict(net._nodes), dict(net._busy),
+                  {stream: list(nodes) for stream, nodes in net._listeners.items()})
+        gateway = StubNode(1, (DATA_FRAMES,), node_class="gateway")
+        with pytest.raises(ConfigError, match="'gateway'"):
+            net.add(gateway)
+        assert (net._nodes, net._busy, net._listeners) == before
+        net.schedule_data_frame(0)
+        end = net.run_to_quiescence()
+        assert (unit.data_frames, gateway.data_frames) == (1, 0)
+        assert end == quiet_end(net) + STM32["ecu"]["hkdf"]
+
 
 class TestTamper:
     # A 200-byte body goes out as 4 fragments of 60, 60, 60 and 20 data
@@ -392,7 +412,7 @@ class TestTamper:
 
         def wire(*actions):
             listener = StubNode(1, (SEEDS,))
-            net = Network(BusConfig(), LATENCY_PRESETS["stm32"], Adversary(actions))
+            net = Network(BusConfig(), STM32, Adversary(actions))
             net.add(StubNode(0, ()))
             net.add(listener)
             net.schedule_protocol_send(
@@ -456,6 +476,21 @@ def test_bus_names_no_node_role_and_joins_nodes_one_way():
                     for part, after in zip(node.values, node.values[1:])):
                 labelled.add(info.name)
     assert labelled == {"protocol"}
+
+
+def test_node_class_names_are_written_in_the_protocol_only():
+    # Secu and Ecu declare their latency classes; every other module reads
+    # them there. A preset is one device table that times every class.
+    naming = set()
+    for info in pkgutil.iter_modules(canvault.__path__):
+        module = importlib.import_module(f"canvault.{info.name}")
+        if any(isinstance(node, ast.Constant) and node.value in ("secu", "ecu")
+               for node in ast.walk(ast.parse(inspect.getsource(module)))):
+            naming.add(info.name)
+    assert naming == {"protocol"}
+    assert all(isinstance(table, dict) and all(
+        type(op) is str and type(us) is int for op, us in table.items())
+        for table in LATENCY_PRESETS.values())
 
 
 def test_bus_leaves_the_adversary_and_the_frame_counts_to_their_owners():

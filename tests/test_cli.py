@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CLI = [sys.executable, "-m", "canvault.cli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -258,6 +260,25 @@ class TestKeygenCommand:
         assert res.returncode == 2
         assert "inconsistent public values" in res.stderr
         assert "Traceback" not in res.stderr
+
+    # A custom profile is read when the scenario runs: a missing file, and
+    # one that times the SECU's class but not the units'.
+    @pytest.mark.parametrize("profile, message", [
+        (None, "cannot read latency profile"),
+        ({"secu": {"eccdh": 1, "hkdf": 1, "aes": 1, "hmac": 1}},
+         "error: profile must map 'ecu' to op latencies"),
+    ], ids=["missing_file", "no_ecu_table"])
+    def test_profile_refused_at_run_time_exits_2_without_report(
+            self, tmp_path, profile, message):
+        if profile is not None:
+            (tmp_path / "profile.json").write_text(json.dumps(profile))
+        cfg = write_config(tmp_path / "cfg.json",
+                           latency_profile="custom:profile.json")
+        res = run_cli("run", str(cfg), "-o", "report.json", cwd=tmp_path)
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_compare_exit_message_goes_to_stderr(tmp_path):

@@ -448,7 +448,8 @@ toy, grp = get_group("toy23"), get_group("schnorr256")
 toy_cfg = ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3})
 ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
 not_in_setup = {"ctypes", "canvault._libcrypto", "cryptography", "fractions",
-                "decimal", "ssl", "_ssl", "dataclasses", "inspect"}
+                "decimal", "ssl", "_ssl", "dataclasses", "inspect", "argparse",
+                "canvault.cli"}
 loaded = not_in_setup & (set(sys.modules) - before)
 if loaded:
     sys.exit(f"setup loaded {sorted(loaded)}")

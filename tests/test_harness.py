@@ -14,9 +14,9 @@ from canvault import harness, kem, protocol
 from canvault.bus import BusConfig
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
-from canvault.group import get_group
-from canvault.harness import (LATENCY_PRESETS, ScenarioConfig, Scheme,
-                              SimReport, comparison_ratios, comparison_table,
+from canvault.group import Group, get_group
+from canvault.harness import (ScenarioConfig, Scheme, SimReport,
+                              comparison_ratios, comparison_table,
                               computation_tally_us, expected_messages,
                               expected_phase_times, load_latency_profile,
                               run_scenario, write_keyfile)
@@ -101,7 +101,7 @@ class TestAffineFit:
 def _profile_text(**changes) -> str:
     """A custom profile's file text: the stm32 preset, with each node class
     in ``changes`` replaced by its value, or a dict's ops updated in it."""
-    table = {cls: dict(ops) for cls, ops in LATENCY_PRESETS["stm32"].items()}
+    table = {cls: dict(ops) for cls, ops in load_latency_profile("stm32").items()}
     for cls, value in changes.items():
         table[cls] = {**table[cls], **value} if isinstance(value, dict) else value
     return json.dumps(table)
@@ -276,6 +276,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             load_latency_profile(f"custom:{path}")
 
+    def test_profile_without_an_ecu_table_refused_before_any_power(
+            self, tmp_path, monkeypatch):
+        # The profile is checked before keygen takes a group power.
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps({"secu": json.loads(_profile_text())["secu"]}))
+        cfg = ScenarioConfig(**self.base(latency_profile=f"custom:{path}"))
+        powers, exp = [], Group.exp
+        monkeypatch.setattr(Group, "exp",
+                            lambda self, *args: powers.append(args) or exp(self, *args))
+        with pytest.raises(ConfigError, match="map 'ecu' to op latencies"):
+            run_scenario(cfg)
+        assert powers == []
+        run_scenario(cfg.replace(latency_profile="stm32"))
+        assert powers                       # a run's powers pass through Group.exp
+
 
 class TestHonestScenarios:
     def test_reference_run(self):
@@ -375,6 +390,19 @@ class TestPhaseTimeOracle:
         profile = self.custom_profile(tmp_path, {**ecu, "hkdf": 5}, ecu)
         cfg = ScenarioConfig(group="toy23", n_ecus=1, latency_profile=profile)
         assert run_scenario(cfg).phase_times == _closed_form(cfg)
+
+    def test_a_class_no_node_declares_is_loaded_and_never_read(self, tmp_path):
+        # A gateway table that lacks every charged op but one: reading it
+        # for a charge or for the closed form would raise.
+        table = {**json.loads(_profile_text()), "gateway": {"eccdh": 1}}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(table))
+        assert load_latency_profile(f"custom:{path}") == table
+        cfg = ScenarioConfig(group="toy23", n_ecus=3,
+                             latency_profile=f"custom:{path}")
+        report = run_scenario(cfg)
+        assert all(report.checks.values())
+        assert report.phase_times == _closed_form(cfg)
 
     def test_bus_and_oracle_read_one_op_list(self, monkeypatch):
         # An op added to one kind's list moves the bus's charges and the
