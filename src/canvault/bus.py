@@ -11,9 +11,9 @@ Models the pieces of the bus that matter for protocol accounting:
   listens to, as a CAN controller filters by id, and the bus hands a
   message only to the listeners of its stream,
 * per-node compute latency charged per cryptographic operation from the
-  latency table of the node's declared class: a sender pays its message
-  kind's ops, and a listener the ops its handler or its data-frame hook
-  reports, so phase durations reflect the configured hardware,
+  latency table of the node's declared class, which times every op of the
+  kinds' send costs: a sender pays its kind's ops, and a listener the ops
+  its handler or data-frame hook reports, so phase times reflect the hardware,
 * one send path, :meth:`Network.send`, that passes every message to the
   run's :class:`~canvault.adversary.Adversary` (which may tamper it or arm
   replays), and one record per fragment set: the set is delivered on its
@@ -161,6 +161,11 @@ class Machine(Protocol):
 _node_id = attrgetter("node_id")
 
 
+def untimed_ops(table: dict[str, int]) -> list[str]:
+    """The ops of the message kinds' send costs that a latency table lacks."""
+    return sorted(set().union(*MESSAGE_OPS.values()).difference(table))
+
+
 class Network:
     """Event-driven broadcast bus with registered protocol nodes; every
     message sent passes through ``adversary``, a fresh idle one if none."""
@@ -187,11 +192,12 @@ class Network:
     # -- topology ---------------------------------------------------------
 
     def add(self, node: Machine) -> None:
-        """Join a node to the bus under its declared identity."""
+        """Join a node to the bus under its declared identity; a node whose
+        class's latency table does not time every charged op is refused."""
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
-        if node.node_class not in self.latency:
-            raise ConfigError(f"no latency table for node class {node.node_class!r}")
+        if missing := untimed_ops(self.latency.get(node.node_class, {})):
+            raise ConfigError(f"latency table {node.node_class!r} lacks {missing}")
         self._nodes[node.node_id] = node
         self._busy[node.node_id] = 0
         for stream in node.streams:

@@ -86,6 +86,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     seed = _env_seed()
     if seed is None:
         seed = args.seed
+    if seed < 0:
+        raise ConfigError("keygen seed must be >= 0")
     out = args.out or f"params_{group.name}.json"
     write_keyfile(out, group, generate_keypairs(group, args.n, seed))
     print(f"{out}: {args.n} keypairs for group {group.name} (seed {seed})")
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kg.add_argument("-o", "--out", default=None,
                       help="output path (default: params_<group>.json)")
     p_kg.add_argument("--seed", type=int, default=0,
-                      help="keygen seed (default 0)")
+                      help="keygen seed, >= 0 (default 0)")
     p_kg.set_defaults(func=cmd_keygen)
     return parser
 

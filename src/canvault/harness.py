@@ -22,11 +22,11 @@ from . import kem
 from .adversary import (ACTIONS, ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
                         ForgeAction, TamperAction)
 from .bus import (MAX_MSG_SEQ, BusConfig, Network, fragment, fragment_count,
-                  frame_time_us)
+                  frame_time_us, untimed_ops)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, ECU_CAN_BASE, \
-    MESSAGE_OPS, ROTATION_OPS, SECU_ID, Ecu, MsgKind, Secu, WireMessage, \
+    MESSAGE_OPS, SECU_ID, Ecu, MsgKind, Secu, WireMessage, \
     body_length, session_chain_key
 
 
@@ -262,16 +262,12 @@ def _check_latency_profile_name(name: str) -> None:
             f"unknown latency profile {name!r}; presets: {sorted(LATENCY_PRESETS)}")
 
 
-# Every op the bus charges; a custom profile must time each of them.
-_CHARGED_OPS = frozenset().union(*MESSAGE_OPS.values(), ROTATION_OPS)
-
-
 def load_latency_profile(name: str) -> dict[str, dict[str, int]]:
     """Resolve a preset name or ``custom:<path>`` into a latency table per
-    node class; a preset's one device table times every class."""
+    node class; each class gets its own copy of a preset's device table."""
     _check_latency_profile_name(name)
     if name in LATENCY_PRESETS:
-        return dict.fromkeys(_NODE_CLASSES, LATENCY_PRESETS[name])
+        return {cls: dict(LATENCY_PRESETS[name]) for cls in _NODE_CLASSES}
     table = _read_json_object("latency profile", name.split(":", 1)[1])
     for node_class in _NODE_CLASSES:
         ops = table.get(node_class)
@@ -280,10 +276,8 @@ def load_latency_profile(name: str) -> dict[str, dict[str, int]]:
         for op, us in ops.items():
             if isinstance(us, bool) or not isinstance(us, int) or us < 0:
                 raise ConfigError(f"latency {node_class}.{op} must be >= 0 us")
-        missing = _CHARGED_OPS - set(ops)
-        if missing:
-            raise ConfigError(
-                f"profile {node_class!r} lacks latencies for {sorted(missing)}")
+        if missing := untimed_ops(ops):
+            raise ConfigError(f"profile {node_class!r} lacks latencies for {missing}")
     return table
 
 

@@ -363,8 +363,8 @@ class TestDeclaredIdentity:
     def test_two_secu_class_nodes_are_each_charged_the_secu_cost(self):
         # Two nodes of one latency class under distinct CAN ids, as one SECU
         # per group would put on one bus.
-        table = {"secu": dict.fromkeys(("hkdf", "hmac"), 1_000),
-                 "ecu": dict.fromkeys(("hkdf", "hmac"), 1)}
+        ops = ("eccdh", "hkdf", "aes", "hmac")    # every op a kind costs
+        table = {"secu": dict.fromkeys(ops, 1_000), "ecu": dict.fromkeys(ops, 1)}
         nodes = [StubNode(i, (), can_id=0x010 + i, node_class="secu")
                  for i in range(2)]
         net = stub_net(*nodes, latency=table)
@@ -387,20 +387,22 @@ class TestDeclaredIdentity:
             [("gateway", "seed_broadcast", "refused")]
 
     def test_a_class_with_no_latency_table_is_refused_at_join(self):
-        # A node of a class the profile does not time fails when it joins,
-        # never on its first charge, and leaves the bus as it found it.
-        unit = StubNode(0, (DATA_FRAMES,))
-        net = stub_net(unit)
-        before = (dict(net._nodes), dict(net._busy),
-                  {stream: list(nodes) for stream, nodes in net._listeners.items()})
-        gateway = StubNode(1, (DATA_FRAMES,), node_class="gateway")
-        with pytest.raises(ConfigError, match="'gateway'"):
-            net.add(gateway)
-        assert (net._nodes, net._busy, net._listeners) == before
-        net.schedule_data_frame(0)
-        end = net.run_to_quiescence()
-        assert (unit.data_frames, gateway.data_frames) == (1, 0)
-        assert end == quiet_end(net) + STM32["ecu"]["hkdf"]
+        # A gateway class with no table, and one whose table lacks the hkdf a
+        # data frame costs: either node fails when it joins, never on its
+        # first charge, and leaves the bus as it found it.
+        for latency in (STM32, {**STM32, "gateway": {"eccdh": 1}}):
+            unit = StubNode(0, (DATA_FRAMES,))
+            net = stub_net(unit, latency=latency)
+            before = (dict(net._nodes), dict(net._busy),
+                      {stream: list(nodes) for stream, nodes in net._listeners.items()})
+            gateway = StubNode(1, (DATA_FRAMES,), node_class="gateway")
+            with pytest.raises(ConfigError, match="'gateway'"):
+                net.add(gateway)
+            assert (net._nodes, net._busy, net._listeners) == before
+            net.schedule_data_frame(0)
+            end = net.run_to_quiescence()
+            assert (unit.data_frames, gateway.data_frames) == (1, 0)
+            assert end == quiet_end(net) + STM32["ecu"]["hkdf"]
 
 
 class TestTamper:

@@ -49,6 +49,28 @@ class TestRunCommand:
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
+    def test_report_and_trace_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict orders of str keys follow PYTHONHASHSEED; no byte of
+        # an output may. The run rejects for four reasons and rotates keys.
+        cfg = write_config(tmp_path / "cfg.json", n_ecus=3, post_ticks=12,
+                           ctr_max=2, adversary=[
+            {"action": "forge", "target": "pairwise_cipher", "receiver": 0},
+            {"action": "tamper", "target": "pairwise_cipher", "occurrence": 2,
+             "bit": 7},
+            {"action": "replay", "target": "seed_broadcast"}])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            res = run_cli("run", str(cfg), "-o", f"r{hash_seed}.json",
+                          "--trace", f"t{hash_seed}.csv", cwd=tmp_path, env=env)
+            assert res.returncode == 0, res.stderr
+            outputs.append([(tmp_path / f"{name}{hash_seed}.{ext}").read_bytes()
+                            for name, ext in (("r", "json"), ("t", "csv"))])
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0][0])
+        assert len({r["reason"] for r in report["rejections"]}) == 4
+        assert report["refresh_events"] > 0
+
     def test_invalid_group_size_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ecus=0)
         res = run_cli("run", str(cfg), cwd=tmp_path)
@@ -215,6 +237,21 @@ class TestKeygenCommand:
     def test_zero_count_exits_2(self, tmp_path):
         res = run_cli("keygen", "toy23", "0", cwd=tmp_path)
         assert res.returncode == 2
+
+    # A negative seed, from the flag or from the environment, is refused as
+    # run refuses a negative rng_seed, and no keyfile is written.
+    @pytest.mark.parametrize("args, env_seed", [
+        (("--seed", "-1"), None), ((), "-3")], ids=["flag", "env"])
+    def test_negative_seed_exits_2_without_a_file(self, tmp_path, args, env_seed):
+        env = dict(os.environ)
+        if env_seed is not None:
+            env["CANVAULT_SEED"] = env_seed
+        res = run_cli("keygen", "toy23", "2", "-o", "params.json", *args,
+                      cwd=tmp_path, env=env)
+        assert res.returncode == 2
+        assert "seed must be >= 0" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "params.json").exists()
 
     def test_unwritable_output_exits_2(self, tmp_path):
         res = run_cli("keygen", "toy23", "2", "-o", "missing/params.json",

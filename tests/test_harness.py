@@ -15,8 +15,8 @@ from canvault.bus import BusConfig
 from canvault.errors import ConfigError, DeadlockError, DomainError, \
     RunCheckError
 from canvault.group import Group, get_group
-from canvault.harness import (ScenarioConfig, Scheme, SimReport,
-                              comparison_ratios, comparison_table,
+from canvault.harness import (LATENCY_PRESETS, ScenarioConfig, Scheme,
+                              SimReport, comparison_ratios, comparison_table,
                               computation_tally_us, expected_messages,
                               expected_phase_times, load_latency_profile,
                               run_scenario, write_keyfile)
@@ -231,6 +231,15 @@ class TestConfigValidation:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError):
             load_latency_profile("pentium")
+
+    def test_a_loaded_preset_table_is_the_callers_own(self):
+        # An edit to one class's table reaches neither the preset, the other
+        # class nor a later load.
+        load_latency_profile("stm32")["ecu"]["hkdf"] = 1
+        assert LATENCY_PRESETS["stm32"]["hkdf"] == 300
+        loaded = load_latency_profile("stm32")
+        assert loaded["secu"]["hkdf"] == loaded["ecu"]["hkdf"] == 300
+        assert loaded["secu"] is not loaded["ecu"]
 
     def test_custom_profile_roundtrip(self, tmp_path):
         table = {"secu": {"eccdh": 10, "hkdf": 2, "aes": 1, "hmac": 1},

@@ -536,6 +536,12 @@ class TestCounterRefresh:
             [(), (), ROTATION_OPS] * 2
         assert ecus[0].session.round_index == 2
 
+    def test_a_rotation_costs_only_ops_some_message_kind_costs(self):
+        # The bus checks a joining node's latency table against the kinds'
+        # send costs alone, so a rotation op outside them would raise KeyError
+        # mid-run instead of failing at join.
+        assert set(ROTATION_OPS) <= set().union(*MESSAGE_OPS.values())
+
     def test_unkeyed_unit_neither_counts_nor_raises_on_a_data_frame(self, toy):
         _, ecus, _ = build_nodes(toy, 1)
         assert ecus[0].on_data_frame() == ()
