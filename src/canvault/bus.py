@@ -45,11 +45,15 @@ FRAME_DATA_MAX = 60
 
 _DATA_PAYLOAD = b"\x00" * 8
 
+DEFAULT_BITRATE_BPS = 1_000_000
+DEFAULT_FRAME_OVERHEAD_BITS = 128
+
 
 class BusConfig:
     __slots__ = ("bitrate_bps", "frame_overhead_bits")
 
-    def __init__(self, bitrate_bps: int = 1_000_000, frame_overhead_bits: int = 128):
+    def __init__(self, bitrate_bps: int = DEFAULT_BITRATE_BPS,
+                 frame_overhead_bits: int = DEFAULT_FRAME_OVERHEAD_BITS):
         self.bitrate_bps = bitrate_bps
         self.frame_overhead_bits = frame_overhead_bits
         if not 125_000 <= self.bitrate_bps <= 8_000_000:

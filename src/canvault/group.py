@@ -242,17 +242,12 @@ _SCHNORR256_GENERATOR = int(
     "b6d36212e551259fec0fc26a4a8ed0bbe6be8a794b00c8cce9e46131b84a6bae", 16)
 
 
-def _toy23() -> Group:
-    return Group("toy23", modulus=23, order=11, generator=2)
-
-
-def _schnorr256() -> Group:
-    return Group("schnorr256", modulus=_SCHNORR256_MODULUS,
-                 order=_SCHNORR256_ORDER, generator=_SCHNORR256_GENERATOR)
-
-
-_FACTORIES = {"toy23": _toy23, "schnorr256": _schnorr256}
-GROUP_NAMES = tuple(_FACTORIES)
+# Each group's (modulus, order, generator), by name.
+_PARAMETERS = {
+    "toy23": (23, 11, 2),
+    "schnorr256": (_SCHNORR256_MODULUS, _SCHNORR256_ORDER, _SCHNORR256_GENERATOR),
+}
+GROUP_NAMES = tuple(_PARAMETERS)
 
 
 @cache
@@ -260,6 +255,7 @@ def get_group(name: str) -> Group:
     """The process's one instantiation of the named group, built (and its
     generator checked) on the first request."""
     try:
-        return _FACTORIES[name]()
+        params = _PARAMETERS[name]
     except KeyError:
         raise ValueError(f"unknown group {name!r}; choose from {GROUP_NAMES}") from None
+    return Group(name, *params)

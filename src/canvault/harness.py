@@ -1,13 +1,14 @@
 """Scenario execution plus the analytic comparison against related schemes.
 
 A scenario runs as plain steps. :func:`_build` makes the nodes, the bus and
-the adversary from a validated config. :func:`_run_stage` drives one keying
-stage of :func:`_stages` to quiescence (the central node never waits for
-per-unit acks, so each stage ends before the next begins). :func:`_key_checks`
-compares every unit's keys with the SECU's. One :class:`SimReport` then holds
-the run's metrics and the closed-form expectations: the 2N+1 message budget,
-the message counts of two competing schemes, and per-scheme computation
-tallies under the active latency profile.
+the adversary from a validated config. :func:`_run_stage` sends one keying
+stage's messages and runs the bus to quiescence (the central node never waits
+for per-unit acks, so each stage ends before the next begins). :func:`_stages`
+declares the stages for the honest frame count and the closed-form phase
+times. :func:`_key_checks` compares every unit's keys with the SECU's. One
+:class:`SimReport` then holds the run's metrics and the closed-form
+expectations: the 2N+1 message budget, the message counts of two competing
+schemes, and per-scheme computation tallies under the active latency profile.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import kem
 from .adversary import (ACTIONS, ADVERSARY_CAN_ID, ADVERSARY_ID, Adversary,
                         ForgeAction, TamperAction)
-from .bus import (MAX_MSG_SEQ, BusConfig, Network, fragment, fragment_count,
-                  frame_time_us, untimed_ops)
+from .bus import (DEFAULT_BITRATE_BPS, DEFAULT_FRAME_OVERHEAD_BITS, MAX_MSG_SEQ,
+                  BusConfig, Network, fragment, fragment_count, frame_time_us,
+                  untimed_ops)
 from .errors import ConfigError, DeadlockError, DomainError, RunCheckError
 from .group import Group, get_group, GROUP_NAMES
 from .protocol import DEFAULT_CTR_MAX, DEFAULT_REPLAY_CACHE, ECU_CAN_BASE, \
@@ -154,8 +156,8 @@ class ScenarioConfig:
     group: str
     n_ecus: int
     latency_profile: str = "stm32"
-    bitrate_bps: int = 1_000_000
-    frame_overhead_bits: int = 128
+    bitrate_bps: int = DEFAULT_BITRATE_BPS
+    frame_overhead_bits: int = DEFAULT_FRAME_OVERHEAD_BITS
     ctr_max: int = DEFAULT_CTR_MAX
     post_ticks: int = 0
     rng_seed: int = 0
@@ -210,8 +212,9 @@ class ScenarioConfig:
         # Every protocol message and every forgery takes the next 16-bit
         # fragment sequence number; a wrap would let two sets share one.
         forges = sum(isinstance(action, ForgeAction) for action in actions)
-        if 2 * self.n_ecus + 1 + forges > MAX_MSG_SEQ:
-            raise ConfigError(f"{2 * self.n_ecus + 1} protocol messages and "
+        messages = expected_messages(Scheme.OURS, self.n_ecus)
+        if messages + forges > MAX_MSG_SEQ:
+            raise ConfigError(f"{messages} protocol messages and "
                               f"{forges} forgeries exceed the {MAX_MSG_SEQ} "
                               "fragment sequence numbers")
 

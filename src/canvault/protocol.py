@@ -188,23 +188,17 @@ def _open(body: bytes, length: int, secret: Optional[bytes], split,
     return key, data, tag
 
 
-class _ReplayCache:
-    """Bounded FIFO set of recently accepted MAC tags."""
+class _ReplayCache(OrderedDict):
+    """Bounded FIFO set of recently accepted MAC tags, oldest first."""
 
     def __init__(self, size: int):
+        super().__init__()
         self.size = size
-        self._tags: OrderedDict[bytes, None] = OrderedDict()
-
-    def __contains__(self, tag: bytes) -> bool:
-        return tag in self._tags
 
     def add(self, tag: bytes) -> None:
-        self._tags[tag] = None      # a tag already held keeps its place
-        while len(self._tags) > self.size:
-            self._tags.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._tags)
+        self[tag] = None        # a tag already held keeps its place
+        while len(self) > self.size:
+            self.popitem(last=False)
 
 
 class Secu:
@@ -284,29 +278,20 @@ class Ecu:
                  replay_cache_size: int = DEFAULT_REPLAY_CACHE):
         self.group = group
         self.keypair = keypair
-        # Plain attributes: the bus reads can_id once per data frame sent.
+        # Plain attributes: the bus reads node_id per delivery and compute
+        # charge, and can_id per data frame sent.
+        self.node_id = self.ecu_id = keypair.ecu_id
         self.can_id = ECU_CAN_BASE + keypair.ecu_id
         self.label = f"ecu{keypair.ecu_id}"
+        # The acceptance filter passes the unit's own pairwise ciphertext and
+        # group secret, every seed, and every data frame (kind None).
+        self.streams = ((MsgKind.PAIRWISE_CIPHER, self.ecu_id),
+                        (MsgKind.GROUP_SECRET, self.ecu_id), SEEDS, DATA_FRAMES)
         self.ctr_max = ctr_max
         self.pairwise: Optional[bytes] = None
         self.group_secret: Optional[bytes] = None
         self.session: Optional[SessionState] = None
         self.replay_cache = _ReplayCache(replay_cache_size)
-
-    @property
-    def ecu_id(self) -> int:
-        return self.keypair.ecu_id
-
-    node_id = ecu_id        # the unit's id on the bus
-
-    @property
-    def streams(self) -> tuple[tuple, ...]:
-        """The (kind, receiver) streams the unit's acceptance filter passes:
-        its own pairwise ciphertext and group secret, every seed, and every
-        data frame (kind None)."""
-        own = self.ecu_id
-        return ((MsgKind.PAIRWISE_CIPHER, own), (MsgKind.GROUP_SECRET, own),
-                SEEDS, DATA_FRAMES)
 
     def handle(self, msg: WireMessage) -> Outcome:
         """Take a pairwise ciphertext, a group secret or a seed."""

@@ -125,6 +125,8 @@ class TestFrameTiming:
             BusConfig(bitrate_bps=1_000)
         with pytest.raises(ConfigError):
             BusConfig(bitrate_bps=100_000_000)
+        with pytest.raises(ConfigError, match="frame overhead"):
+            BusConfig(frame_overhead_bits=-1)
 
 
 class TestArbitration:
@@ -348,8 +350,10 @@ class TestDeclaredIdentity:
         assert (secu.can_id, secu.node_class, secu.label) == (0x010, "secu", "secu")
         ecu = Ecu(toy, kem.keygen(toy, 3, Random(0)))
         assert (ecu.can_id, ecu.node_class, ecu.label) == (0x103, "ecu", "ecu3")
-        # Plain attributes, not properties: the bus reads can_id per data frame.
-        assert {"can_id", "label"} <= set(vars(ecu))
+        # Plain attributes, not properties: the bus reads node_id per delivery
+        # and compute charge, and can_id per data frame.
+        assert {"node_id", "ecu_id", "can_id", "label", "streams"} <= set(vars(ecu))
+        assert ecu.node_id == ecu.ecu_id == 3
 
     def test_the_lower_declared_can_id_wins_arbitration(self):
         # Declared ids invert the order of the node ids.

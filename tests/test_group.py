@@ -7,6 +7,7 @@ plus independent primality verification of its frozen constants.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -362,13 +363,16 @@ def test_bad_generator_rejected():
 
 
 def test_get_group_returns_one_instance_per_name():
+    assert GROUP_NAMES == ("toy23", "schnorr256")
     for name in GROUP_NAMES:
         assert get_group(name) is get_group(name)
+        assert get_group(name).name == name
     assert get_group("toy23") is not get_group("schnorr256")
 
 
 def test_unknown_group_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown group 'nope'; choose from ('toy23', 'schnorr256')")):
         get_group("nope")
 
 

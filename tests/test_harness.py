@@ -118,6 +118,18 @@ class TestConfigValidation:
         assert cfg.latency_profile == "stm32"
         assert cfg.bitrate_bps == 1_000_000
         assert cfg.ctr_max == 65_535
+        bus = BusConfig()
+        assert (cfg.bitrate_bps, cfg.frame_overhead_bits) == \
+            (bus.bitrate_bps, bus.frame_overhead_bits)
+
+    def test_from_json_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.base(rng_seed=4)))
+        assert vars(ScenarioConfig.from_json_file(str(path))) == \
+            vars(ScenarioConfig(**self.base(rng_seed=4)))
+        path.write_text(json.dumps([self.base()]))
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            ScenarioConfig.from_json_file(str(path))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -346,6 +358,16 @@ class TestHonestScenarios:
         data["phase_times"]["pairwise"]["end_us"] = -1
         data["comparison"][0]["n"] = -1
         assert report.rejections and report.to_json() == text
+        # A report equals only a report, never its dict form.
+        assert report != report.to_dict()
+
+    def test_report_takes_exactly_its_fields(self):
+        fields = dict.fromkeys(SimReport.__slots__, 0)
+        assert SimReport(**fields) == SimReport(**fields)
+        missing = dict.fromkeys(SimReport.__slots__[1:], 0)
+        for bad in (missing, {**fields, "extra": 0}):
+            with pytest.raises(TypeError, match="exactly the fields"):
+                SimReport(**bad)
 
     def test_phase4_sender_override(self):
         report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3,
