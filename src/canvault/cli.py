@@ -10,8 +10,8 @@ Subcommands:
   parameter file with n keypairs, loadable by ``run`` via the config's
   ``keyfile`` key.
 
-The ``CANVAULT_SEED`` environment variable overrides the seed used by
-``run`` and ``keygen``.
+The ``CANVAULT_SEED`` environment variable, a decimal integer as ``--seed``
+takes it, overrides the seed used by ``run`` and ``keygen``.
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable output
 path included, refused before the run), 3 a run-level check failed or the
@@ -37,9 +37,9 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw, 0)
+        return int(raw)
     except ValueError:
-        raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{SEED_ENV} must be a decimal integer, got {raw!r}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import types
 from random import Random
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -379,59 +380,12 @@ def load_keyfile(path: str, group: Group, n: int) -> list[kem.EcuKeyPair]:
 
 # -- scenario execution -------------------------------------------------------
 
-class SimReport:
-    """Metrics of one simulation run. All fields are JSON-plain types so the
-    report round-trips losslessly through its JSON form; the annotations
-    name them, in order."""
-
-    group: str
-    n_ecus: int
-    rng_seed: int
-    latency_profile: str
-    logical_messages: int
-    frames: int
-    data_frames: int
-    refresh_events: int
-    phase_times: dict
-    rejections: list
-    converged: dict
-    partially_keyed: bool
-    expected_messages: int
-    checks: dict
-    comparison: list
-    computation_tally_us: dict
-
-    __slots__ = tuple(__annotations__)
-
-    def __init__(self, **fields):
-        if fields.keys() != set(self.__slots__):
-            raise TypeError(f"SimReport takes exactly the fields {self.__slots__}")
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._field_values() == other._field_values()
-
-    def _field_values(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def to_dict(self) -> dict:
-        """The fields by name, in fresh containers; being JSON-plain, they
-        copy losslessly through JSON."""
-        return json.loads(json.dumps(self._field_values()))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimReport":
-        return cls(**data)
+class SimReport(types.SimpleNamespace):
+    """Metrics of one simulation run. All fields are JSON-plain types, so
+    ``SimReport(**json.loads(report.to_json()))`` reads a report back."""
 
     def to_json(self) -> str:
-        return json.dumps(self._field_values(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        return cls.from_dict(json.loads(text))
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _stages(n: int) -> tuple[tuple[str, MsgKind, str, int, tuple[str, ...]], ...]:

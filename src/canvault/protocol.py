@@ -27,7 +27,7 @@ handling cost, which the bus charges.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
+from collections import deque
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -188,19 +188,6 @@ def _open(body: bytes, length: int, secret: Optional[bytes], split,
     return key, data, tag
 
 
-class _ReplayCache(OrderedDict):
-    """Bounded FIFO set of recently accepted MAC tags, oldest first."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def add(self, tag: bytes) -> None:
-        self[tag] = None        # a tag already held keeps its place
-        while len(self) > self.size:
-            self.popitem(last=False)
-
-
 class Secu:
     """Central security unit: drives phases 2 and 3, observes phase 4.
 
@@ -291,7 +278,8 @@ class Ecu:
         self.pairwise: Optional[bytes] = None
         self.group_secret: Optional[bytes] = None
         self.session: Optional[SessionState] = None
-        self.replay_cache = _ReplayCache(replay_cache_size)
+        # A bounded FIFO of accepted tags: the oldest is dropped first.
+        self.replay_cache = deque(maxlen=replay_cache_size)
 
     def handle(self, msg: WireMessage) -> Outcome:
         """Take a pairwise ciphertext, a group secret or a seed."""
@@ -315,7 +303,7 @@ class Ecu:
             self.group_secret = primitives.sym_decrypt(data, key)
         else:
             self.session = _first_round(data, key)
-        self.replay_cache.add(tag)
+        self.replay_cache.append(tag)
         return _accepted(msg)
 
     def run_phase4(self, rng: Random) -> WireMessage:
@@ -328,7 +316,7 @@ class Ecu:
         self.session = _first_round(seed, chain_key)
         # Own tag goes in the cache so a replayed copy of this broadcast is
         # recognized even by its original sender.
-        self.replay_cache.add(tag)
+        self.replay_cache.append(tag)
         return WireMessage(MsgKind.SEED_BROADCAST, self.ecu_id, BROADCAST,
                            seed + tag)
 

@@ -166,18 +166,22 @@ class TestRunCommand:
         assert len(lines) == 8
 
     def test_env_seed_overrides_config(self, tmp_path):
+        # The seed is a decimal integer, as --seed takes it: 010 is ten.
         cfg = write_config(tmp_path / "cfg.json", rng_seed=1)
-        env = dict(os.environ, CANVAULT_SEED="99")
-        res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
-        assert res.returncode == 0, res.stderr
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["rng_seed"] == 99
+        for raw, seed in (("99", 99), ("010", 10)):
+            env = dict(os.environ, CANVAULT_SEED=raw)
+            res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
+            assert res.returncode == 0, res.stderr
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["rng_seed"] == seed
 
     def test_bad_env_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
-        env = dict(os.environ, CANVAULT_SEED="not-a-number")
-        res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
-        assert res.returncode == 2
+        for raw in ("not-a-number", "0x10"):
+            env = dict(os.environ, CANVAULT_SEED=raw)
+            res = run_cli("run", str(cfg), cwd=tmp_path, env=env)
+            assert res.returncode == 2
+            assert "CANVAULT_SEED must be a decimal integer" in res.stderr
 
     def test_env_seed_is_validated_like_the_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

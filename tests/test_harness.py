@@ -350,24 +350,20 @@ class TestHonestScenarios:
             group="toy23", n_ecus=3, post_ticks=5, ctr_max=2,
             adversary=[{"action": "forge", "target": "seed_broadcast"}]))
         text = report.to_json()
-        assert SimReport.from_json(text) == report
-        assert SimReport.from_json(text).to_json() == text
-        # to_dict hands out fresh containers: editing them leaves the report.
-        data = report.to_dict()
-        data["rejections"].clear()
-        data["phase_times"]["pairwise"]["end_us"] = -1
-        data["comparison"][0]["n"] = -1
-        assert report.rejections and report.to_json() == text
+        read_back = SimReport(**json.loads(text))
+        assert read_back == report
+        assert read_back.to_json() == text
         # A report equals only a report, never its dict form.
-        assert report != report.to_dict()
+        assert report != json.loads(text)
 
-    def test_report_takes_exactly_its_fields(self):
-        fields = dict.fromkeys(SimReport.__slots__, 0)
-        assert SimReport(**fields) == SimReport(**fields)
-        missing = dict.fromkeys(SimReport.__slots__[1:], 0)
-        for bad in (missing, {**fields, "extra": 0}):
-            with pytest.raises(TypeError, match="exactly the fields"):
-                SimReport(**bad)
+    def test_report_has_exactly_its_sixteen_fields(self):
+        report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3))
+        assert sorted(vars(report)) == sorted([
+            "group", "n_ecus", "rng_seed", "latency_profile",
+            "logical_messages", "frames", "data_frames", "refresh_events",
+            "phase_times", "rejections", "converged", "partially_keyed",
+            "expected_messages", "checks", "comparison",
+            "computation_tally_us"])
 
     def test_phase4_sender_override(self):
         report = run_scenario(ScenarioConfig(group="toy23", n_ecus=3,

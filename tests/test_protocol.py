@@ -1,6 +1,7 @@
 """State-machine tests: phases run by hand-delivering messages, no bus."""
 
 import ast
+import copy
 import importlib
 import inspect
 import pkgutil
@@ -16,10 +17,9 @@ import canvault.protocol
 from canvault import kem, primitives
 from canvault.errors import ConsistencyError, DecodeError, StateError
 from canvault.group import get_group
-from canvault.protocol import (BROADCAST, DATA_FRAMES, MESSAGE_OPS,
+from canvault.protocol import (BROADCAST, DATA_FRAMES, MAC_LEN, MESSAGE_OPS,
                                ROTATION_OPS, SECU_ID, Disposition, Ecu, MsgKind,
-                               Phase, Secu, WireMessage, _ReplayCache,
-                               body_length)
+                               Phase, Secu, WireMessage, body_length)
 from support import decoded_as_members, mul, passes
 
 
@@ -354,6 +354,21 @@ class TestPhase4:
             out = ecu.handle(msg)
             assert out.rejected and out.reason == "replay"
 
+    def test_a_deep_copy_refuses_the_same_replay_with_its_own_cache(self, toy):
+        secu, ecus, rng = build_nodes(toy, 2)
+        deliver_all(secu.run_phase2(rng), ecus)
+        deliver_all(secu.run_phase3(rng), ecus)
+        msg = ecus[0].run_phase4(rng)
+        unit = ecus[1]
+        assert unit.handle(msg).accepted
+        twin = copy.deepcopy(unit)
+        for node in (unit, twin):
+            out = node.handle(msg)
+            assert out.rejected and out.reason == "replay"
+        held = list(unit.replay_cache)
+        twin.replay_cache.append(b"only the copy's")
+        assert list(unit.replay_cache) == held
+
     def test_before_group_secret_rejected_as_state(self, toy):
         secu, ecus, rng = build_nodes(toy, 2)
         deliver_all(secu.run_phase2(rng), ecus)
@@ -599,16 +614,20 @@ class TestPhaseMonotonicityAndRobustness:
             ecu.handle(ecu.run_phase4(Random(i)))
         assert len(ecu.replay_cache) <= 8
 
-    def test_replay_cache_re_add_keeps_the_tag_in_place(self):
-        # Adding a held tag neither grows the cache nor moves the tag to
-        # the young end: the oldest tag is still the next one evicted.
-        cache = _ReplayCache(2)
-        for tag in (b"a", b"b", b"a"):
-            cache.add(tag)
-        assert len(cache) == 2 and b"a" in cache and b"b" in cache
-        cache.add(b"c")
-        assert len(cache) == 2 and b"a" not in cache
-        assert b"b" in cache and b"c" in cache
+    def test_replay_cache_evicts_the_oldest_first(self, toy):
+        # A two-tag cache takes the group secret's tag, then two seeds' tags:
+        # the group secret's goes, and both seeds are still refused.
+        secu, ecus, rng = build_nodes(toy, 1, cache=2)
+        deliver_all(secu.run_phase2(rng), ecus)
+        ecu = ecus[0]
+        wrapped = secu.run_phase3(rng)[0]
+        assert ecu.handle(wrapped).accepted
+        seeds = [ecu.run_phase4(Random(i)) for i in range(2)]
+        assert list(ecu.replay_cache) == [s.body[-MAC_LEN:] for s in seeds]
+        for seed in seeds:
+            out = ecu.handle(seed)
+            assert out.rejected and out.reason == "replay"
+        assert ecu.handle(wrapped).accepted
 
 
 class OneUnitUnderReplay(RuleBasedStateMachine):
