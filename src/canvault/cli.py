@@ -14,8 +14,9 @@ The ``CANVAULT_SEED`` environment variable, a decimal integer as ``--seed``
 takes it, overrides the seed used by ``run`` and ``keygen``.
 
 Exit codes: 0 success, 2 configuration or usage error (an unwritable output
-path included, refused before the run), 3 a run-level check failed or the
-run stalled; ``run`` writes the report in both cases of 3.
+path included, which ``run`` and ``keygen`` refuse before they run a scenario
+or derive a keypair), 3 a run-level check failed or the run stalled; ``run``
+writes the report in both cases of 3.
 """
 
 from __future__ import annotations
@@ -42,18 +43,23 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV} must be a decimal integer, got {raw!r}") from None
 
 
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Outputs are checked before any work, so a refused command writes
+    nothing."""
+    for path in filter(None, paths):
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ConfigError(f"cannot write {path}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = ScenarioConfig.from_json_file(args.config)
     seed = _env_seed()
     if seed is not None:
         cfg = cfg.replace(rng_seed=seed)
-    # Outputs are checked before the run, so a refused run writes nothing.
     if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise ConfigError(f"--trace and -o both name {args.out}")
-    for path in filter(None, (args.out, args.trace)):
-        target = path if os.path.exists(path) else os.path.dirname(path) or "."
-        if os.path.isdir(path) or not os.access(target, os.W_OK):
-            raise ConfigError(f"cannot write {path}")
+    _refuse_unwritable(args.out, args.trace)
     code = 0
     try:
         report = run_scenario(cfg, trace_path=args.trace)
@@ -89,6 +95,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError("keygen seed must be >= 0")
     out = args.out or f"params_{group.name}.json"
+    _refuse_unwritable(out)
     write_keyfile(out, group, generate_keypairs(group, args.n, seed))
     print(f"{out}: {args.n} keypairs for group {group.name} (seed {seed})")
     return 0

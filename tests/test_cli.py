@@ -1,6 +1,8 @@
 """End-to-end CLI tests through subprocess: exit codes, report files,
-comparison CSV, keygen files, and the seed environment override."""
+comparison CSV, keygen files, the seed environment override, and runs with
+no site-packages."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,18 +11,21 @@ from pathlib import Path
 
 import pytest
 
-CLI = [sys.executable, "-m", "canvault.cli"]
+from canvault.harness import SimReport
+from test_golden import GOLDEN
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, cwd, env=None):
+def run_cli(*args, cwd, env=None, flags=()):
     # The child runs in cwd, so a relative PYTHONPATH (such as "src") would
-    # resolve there; prepend the checkout's src as an absolute path.
+    # resolve there; prepend the checkout's src as an absolute path. flags
+    # go to the interpreter, before -m.
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(CLI + list(args), cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *flags, "-m", "canvault.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
 
 
 def write_config(path, **overrides):
@@ -70,6 +75,23 @@ class TestRunCommand:
         report = json.loads(outputs[0][0])
         assert len({r["reason"] for r in report["rejections"]}) == 4
         assert report["refresh_events"] > 0
+
+    def test_runs_without_site_packages(self, tmp_path):
+        # Under -S no site-packages are on the child's path, cryptography
+        # (the tests' AES oracle) included, so these runs show the runtime
+        # needs only the standard library. The paper-size report gives its
+        # pinned digest and reads back as a SimReport that writes the same
+        # text.
+        write_config(tmp_path / "toy.json", n_ecus=3)
+        write_config(tmp_path / "big.json", group="schnorr256", n_ecus=35)
+        for name in ("toy", "big"):
+            res = run_cli("run", f"{name}.json", "-o", f"{name}_report.json",
+                          cwd=tmp_path, flags=["-S"])
+            assert res.returncode == 0, res.stderr
+        text = (tmp_path / "big_report.json").read_text()
+        assert SimReport(**json.loads(text)).to_json() == text
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN["honest_schnorr256_n35"][1]
 
     def test_invalid_group_size_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_ecus=0)
@@ -262,6 +284,7 @@ class TestKeygenCommand:
                       cwd=tmp_path)
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
+        assert "cannot write missing/params.json" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_keyfile_run_equals_inline_run(self, tmp_path):

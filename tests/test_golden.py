@@ -22,6 +22,11 @@ GOLDEN = {
     "honest_schnorr256_n2": (
         {"group": "schnorr256", "n_ecus": 2},
         "054fd24b88a2f42cd444185d25d61214474ec8608138e5ca27371d73f396c46e"),
+    # The paper's size on the 2048-bit group, honest: keying_schnorr256's
+    # report in perfbench, and the bare-runtime CLI run of tests/test_cli.py.
+    "honest_schnorr256_n35": (
+        {"group": "schnorr256", "n_ecus": 35},
+        "afd02025f3847041b08f6823635fa9628f9eacf4381f377560003275433385bb"),
     "refresh_toy23_n3": (
         {"group": "toy23", "n_ecus": 3, "post_ticks": 20, "ctr_max": 2},
         "1f4795cdcbfddb87decad3148bb593484d7cc4a82c4fd56777db8917095ee5c2"),

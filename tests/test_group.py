@@ -446,11 +446,17 @@ BACKEND_LOAD_PROBE = """
 import sys
 before = set(sys.modules)
 from canvault.group import GroupElement, _BuiltinPowers, get_group
-from canvault.harness import ScenarioConfig, run_scenario
+from canvault.harness import ScenarioConfig, load_latency_profile, run_scenario
 
 toy, grp = get_group("toy23"), get_group("schnorr256")
+hostile = [{"action": "tamper", "target": "pairwise_cipher", "bit": 12},
+           {"action": "replay", "target": "seed_broadcast"},
+           {"action": "forge", "target": "pairwise_cipher", "receiver": 0}]
+for group in ("toy23", "schnorr256"):
+    cfg = ScenarioConfig.from_dict({"group": group, "n_ecus": 35})
+    ScenarioConfig.from_dict({"group": group, "n_ecus": 35, "adversary": hostile})
+    load_latency_profile(cfg.latency_profile)
 toy_cfg = ScenarioConfig.from_dict({"group": "toy23", "n_ecus": 3})
-ScenarioConfig.from_dict({"group": "schnorr256", "n_ecus": 35})
 not_in_setup = {"ctypes", "canvault._libcrypto", "cryptography", "fractions",
                 "decimal", "ssl", "_ssl", "dataclasses", "inspect", "argparse",
                 "canvault.cli"}
@@ -496,17 +502,19 @@ if sys.platform.startswith("linux"):
 
 
 def test_backend_loads_on_first_power_not_at_import():
-    # Importing canvault, building both groups and parsing a config (setup_s
-    # in perfbench) load neither ctypes, libcrypto nor cryptography. A toy23
-    # run then loads libcrypto for its AES-CTR only: its powers stay on
-    # builtin pow and it builds no table. schnorr256's generator table waits
-    # for its first generator power. No run loads cryptography. Setup loads
-    # neither fractions, decimal, ssl, dataclasses nor inspect, and powers
-    # and AES calls never load ssl. On Linux the process maps exactly one
-    # libcrypto file, the copy hashlib uses, and libcrypto's symbols resolve
-    # inside it.
+    # The child runs under -S: no site-packages are on its path, so the
+    # runtime must need none, and neither site nor a .pth file loads a
+    # module before the probe's first snapshot. Setup (setup_s in perfbench: importing canvault,
+    # building both groups, parsing configs with one tamper, one replay and
+    # one forge entry on each group, and resolving the latency profile)
+    # loads none of not_in_setup. A toy23 run then loads libcrypto for its
+    # AES-CTR only: its powers stay on builtin pow and it builds no table.
+    # schnorr256's generator table waits for its first generator power.
+    # No run loads cryptography, and powers and AES calls never load ssl.
+    # On Linux the process maps exactly one libcrypto file, the copy hashlib
+    # uses, and libcrypto's symbols resolve inside it.
     src = Path(canvault.group.__file__).resolve().parents[1]
-    subprocess.run([sys.executable, "-c", BACKEND_LOAD_PROBE], check=True,
+    subprocess.run([sys.executable, "-S", "-c", BACKEND_LOAD_PROBE], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
@@ -686,6 +694,32 @@ def test_failed_power_raises_and_frees_what_it_made(libcrypto, monkeypatch,
     with pytest.raises(MemoryError, match="libcrypto"):
         power(libcrypto)
     assert made and live == set()
+
+
+def test_failed_aes_call_raises_and_frees_its_context(libcrypto, monkeypatch):
+    # A cipher call that fails raises MemoryError and frees the one
+    # EVP_CIPHER_CTX it made.
+    real, calls = libcrypto.lib, []
+
+    class FailingUpdate:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def EVP_CIPHER_CTX_new(self):
+            calls.append("EVP_CIPHER_CTX_new")
+            return real.EVP_CIPHER_CTX_new()
+
+        def EVP_EncryptUpdate(self, *args):
+            return 0
+
+        def EVP_CIPHER_CTX_free(self, ctx):
+            calls.append("EVP_CIPHER_CTX_free")
+            real.EVP_CIPHER_CTX_free(ctx)
+
+    monkeypatch.setattr(libcrypto, "lib", FailingUpdate())
+    with pytest.raises(MemoryError, match="AES-128-CTR failed"):
+        libcrypto.aes128_ctr(bytes(16), bytes(16), b"data")
+    assert calls == ["EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free"]
 
 
 def _undeclared_symbols(source: str) -> set[str]:
